@@ -21,6 +21,7 @@ from importlib import resources
 
 import yaml
 
+from . import __version__
 from .channel import ChannelModel
 from .codec import CodecModel, CodecSpec, SlotSelection, SlottedAlohaConfig
 from .montecarlo import (
@@ -330,7 +331,7 @@ def write_csv(points: list[PupeCurvePoint], path: str) -> None:
 
 
 def _config_digest(config: ExperimentConfig, seed: int, trials_scale: float) -> str:
-    blob = f"{serialize_config(config)}|{seed}|{trials_scale}"
+    blob = f"{serialize_config(config)}|{seed}|{trials_scale}|{__version__}"
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -354,7 +355,7 @@ def run(
         try:
             with open(ckpt_path, encoding="utf-8") as fh:
                 ckpt = json.load(fh)
-            if ckpt.get("digest") == digest:
+            if isinstance(ckpt, dict) and ckpt.get("digest") == digest:
                 for item in ckpt.get("points", []):
                     point = PupeCurvePoint(**item)
                     done[point.ka] = point

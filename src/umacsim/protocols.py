@@ -133,6 +133,12 @@ class SbidmaConfig(TwoStepConfig):
             raise ProtocolError(
                 f"rho must be in [1, {self.n_occasions}], got {self.repetitions}"
             )
+        # The ML codec decodes a single occasion's samples, so it cannot
+        # combine copies; only the oracle codec models the rho-copy MRC.
+        if self.repetitions > 1 and self.codec.model is CodecModel.ML_RANDOM_GAUSSIAN:
+            raise ProtocolError(
+                f"the ML codec decodes one copy only and needs rho = 1, got {self.repetitions}"
+            )
         super().__post_init__()
 
     @property
@@ -375,8 +381,9 @@ def twostep_receive(
     TIN stops after one round; TIN-SIC cancels the ground-truth contribution
     of every decoded user and repeats until no round decodes anybody new.
     """
+    # OMP's support and its relative stopping rule do not depend on a common
+    # column scale, so the unit-power dictionary serves every power.
     pre_dict, _ = build_dictionaries(cfg)
-    pre_dict_scaled = pre_dict.columns * math.sqrt(genie.power)
     pre_len = cfg.preamble_region_len
     ka = ka_hypothesis if ka_hypothesis is not None else max(1, len(genie.users))
     max_iters = min(2 * ka, cfg.preamble.size)
@@ -396,7 +403,7 @@ def twostep_receive(
         if e_pre <= 0:
             break
         thr = min(1.0, 1.1 * noise_power * pre_len / e_pre)
-        det = omp_detect(y_pre, pre_dict_scaled, max_iters=max_iters, residual_threshold=thr)
+        det = omp_detect(y_pre, pre_dict, max_iters=max_iters, residual_threshold=thr)
         detected_all.update(det.indices)
 
         newly: list[UserTx] = []
@@ -454,7 +461,7 @@ def twostep_receive(
 def _ml_attempt(
     cfg: TwoStepConfig, user: UserTx, y: np.ndarray, power: float
 ) -> tuple[bool, int | None]:
-    """Actual ML decode on the user's (first) occasion samples."""
+    """Actual ML decode on the user's occasion samples (ML configs have rho = 1)."""
     occ = user.occasions[0]
     off = cfg.occasion_offset(occ) + cfg.pilot_len
     seg = y[off : off + cfg.codec.complex_uses]
@@ -463,10 +470,7 @@ def _ml_attempt(
         gain = ls_channel_estimate(y[poff : poff + cfg.pilot_len], user.copy_signal[: cfg.pilot_len])
     else:
         gain = 1.0
-    scale = math.sqrt(power)
-    if cfg.rho > 1 and getattr(cfg, "energy_policy", None) is EnergyPolicy.SPLIT_ACROSS_COPIES:
-        scale /= math.sqrt(cfg.rho)
-    return decode(cfg.codec, observed=seg, gain=gain * scale, power=1.0)
+    return decode(cfg.codec, observed=seg, gain=gain * math.sqrt(power), power=1.0)
 
 
 def sbidma_receive(
@@ -477,7 +481,11 @@ def sbidma_receive(
     noise_power: float,
     ka_hypothesis: int | None = None,
 ) -> DecodeOutcome:
-    """Two-step receiver with maximal-ratio combining across the rho copies."""
+    """Two-step receiver for SB-IDMA configs.
+
+    With the oracle codec the rho copies are combined by maximal-ratio
+    combining (their SINRs add); the ML codec is limited to rho = 1.
+    """
     if not isinstance(cfg, SbidmaConfig):
         raise ProtocolError("sbidma_receive needs an SbidmaConfig")
     return twostep_receive(y, cfg, mode, genie, noise_power, ka_hypothesis)

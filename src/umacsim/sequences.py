@@ -76,12 +76,36 @@ def zadoff_chu(root: int, length: int) -> np.ndarray:
     return np.exp(-1j * np.pi * root * m * (m + 1) / length)
 
 
+# Gaussian columns are drawn in row blocks of about this many values and
+# normalised in blocks of this many columns, so building a large dictionary
+# makes no full-size temporaries.
+_DRAW_BLOCK = 1 << 19
+_NORM_BLOCK = 512
+
+
 def _gaussian_columns(
     size: int, length: int, target_energy: float, rng: np.random.Generator
 ) -> np.ndarray:
-    cols = rng.standard_normal((length, size)) + 1j * rng.standard_normal((length, size))
-    norms = np.linalg.norm(cols, axis=0)
-    return cols * (math.sqrt(target_energy) / norms)
+    """i.i.d. CN columns scaled to `target_energy`, built in place.
+
+    Bit-identical to drawing a (length, size) real block, then an imaginary
+    block, and scaling by sqrt(target_energy) / np.linalg.norm(axis=0).
+    """
+    cols = np.empty((length, size), dtype=complex)
+    rows = max(1, _DRAW_BLOCK // size)
+    for part in (cols.real, cols.imag):
+        for r0 in range(0, length, rows):
+            part[r0 : r0 + rows] = rng.standard_normal((min(rows, length - r0), size))
+    edges = [*range(0, size, _NORM_BLOCK), size]
+    # np.linalg.norm(axis=0) reduces a single column by a different (pairwise)
+    # summation, so a one-column tail is folded into the previous block.
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    scale = math.sqrt(target_energy)
+    for c0, c1 in zip(edges, edges[1:]):
+        block = cols[:, c0:c1]
+        block *= scale / np.linalg.norm(block, axis=0)
+    return cols
 
 
 def build_preamble_dictionary(

@@ -179,6 +179,35 @@ class TestRun:
         assert code == 0
         assert "bogus" not in out.read_text()
 
+    @pytest.mark.parametrize("payload", [[], 3, "text", None])
+    def test_non_object_checkpoint_ignored(self, tmp_path, payload):
+        c = parse_config(FAST_CONFIG)
+        out = tmp_path / "res.csv"
+        (tmp_path / "res.csv.ckpt.json").write_text(json.dumps(payload))
+        assert run(c, str(out), stream=io.StringIO()) == 0
+        assert out.read_text().splitlines()[0] == CSV_HEADER
+
+    def test_checkpoint_from_other_version_ignored(self, tmp_path, monkeypatch):
+        from umacsim import cli
+
+        c = parse_config(FAST_CONFIG)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "__version__", "0.0.0-other")
+            old_digest = cli._config_digest(c, c.seed, 1.0)
+        assert old_digest != cli._config_digest(c, c.seed, 1.0)
+        fake = {
+            "digest": old_digest,
+            "points": [{
+                "scenario": "slotted_aloha", "channel": "awgn", "ka": 1,
+                "min_snr_db": 12.5, "pupe": 0.01, "ci_low": 0.0, "ci_high": 0.02,
+                "trials": 999, "seed": c.seed, "notes": "from-checkpoint",
+            }],
+        }
+        out = tmp_path / "res.csv"
+        (tmp_path / "res.csv.ckpt.json").write_text(json.dumps(fake))
+        run(c, str(out), stream=io.StringIO())
+        assert "from-checkpoint" not in out.read_text()
+
     def test_trials_scale(self, tmp_path):
         c = parse_config(FAST_CONFIG)
         out = tmp_path / "r.csv"

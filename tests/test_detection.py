@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from umacsim.channel import complex_noise
 from umacsim.detection import (
@@ -15,7 +17,7 @@ from umacsim.sequences import build_preamble_dictionary
 
 
 def gaussian_dict(rows, cols, seed):
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)   # a seed or a Generator
     a = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
     return a / np.linalg.norm(a, axis=0)
 
@@ -66,6 +68,105 @@ class TestOmp:
         y = a[:, 7].astype(complex)
         res = omp_detect(y, a, max_iters=10, residual_threshold=1e-6)
         assert res.indices == [7]
+
+
+def reference_omp(y, a, max_iters, residual_threshold=0.0):
+    """Textbook OMP re-solving np.linalg.lstsq each iteration: the oracle
+    the Cholesky kernel must agree with, selection by selection."""
+    e_y = float(np.real(np.vdot(y, y)))
+    selected = []
+    coef = np.zeros(0, dtype=complex)
+    residual = y
+    res_energy = e_y
+    for _ in range(min(max_iters, a.shape[1])):
+        if res_energy <= residual_threshold * e_y:
+            break
+        corr = np.abs(a.conj().T @ residual)
+        corr[selected] = -1.0
+        selected.append(int(np.argmax(corr)))
+        sub = a[:, selected]
+        coef = np.linalg.lstsq(sub, y, rcond=1e-12)[0]
+        residual = y - sub @ coef
+        res_energy = min(res_energy, float(np.real(np.vdot(residual, residual))))
+    return selected, coef
+
+
+@st.composite
+def sparse_problems(draw):
+    """(dictionary, y, max_iters): a few active columns plus noise.
+
+    Noise keeps correlations away from exact ties (Zadoff-Chu columns have
+    equal cross-correlation magnitudes), and max_iters stays below half the
+    rank, so no selected set is near-degenerate.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        rows = draw(st.integers(16, 80))
+        a = gaussian_dict(rows, draw(st.integers(rows, 3 * rows)), rng)
+        rank = rows
+    else:
+        base = draw(st.sampled_from([13, 31, 37]))
+        size = draw(st.integers(base, 3 * base))
+        a = build_preamble_dictionary(
+            size=size, base_length=base, repetitions=draw(st.integers(1, 2))
+        ).columns
+        rank = base
+    k = draw(st.integers(1, 4))
+    support = rng.choice(a.shape[1], k, replace=False)
+    coefs = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    noise_std = draw(st.floats(0.01, 0.5))
+    y = a[:, support] @ coefs + noise_std * complex_noise(a.shape[0], 1.0, rng)
+    max_iters = draw(st.integers(1, rank // 2))
+    return a, y, max_iters
+
+
+thresholds = st.one_of(st.just(0.0), st.floats(0.01, 0.9))
+omp_settings = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+class TestOmpEquivalence:
+    @omp_settings
+    @given(sparse_problems(), thresholds)
+    def test_matches_lstsq_reference(self, problem, threshold):
+        a, y, max_iters = problem
+        res = omp_detect(y, a, max_iters=max_iters, residual_threshold=threshold)
+        ref_indices, ref_coef = reference_omp(y, a, max_iters, threshold)
+        assert res.indices == ref_indices
+        np.testing.assert_allclose(res.coefficients, ref_coef, rtol=1e-8, atol=1e-10)
+
+    @omp_settings
+    @given(sparse_problems(), thresholds, st.floats(1e-3, 1e3))
+    def test_common_column_scale_keeps_support(self, problem, threshold, scale):
+        a, y, max_iters = problem
+        base = omp_detect(y, a, max_iters=max_iters, residual_threshold=threshold)
+        scaled = omp_detect(y, a * scale, max_iters=max_iters, residual_threshold=threshold)
+        assert scaled.indices == base.indices
+        np.testing.assert_allclose(
+            scaled.coefficients * scale, base.coefficients, rtol=1e-8, atol=1e-10
+        )
+
+    @omp_settings
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 4),
+        st.floats(0.1, 10.0),
+    )
+    def test_duplicated_columns_stop_cleanly(self, seed, n_dup, dup_scale):
+        rng = np.random.default_rng(seed)
+        a = gaussian_dict(20, 30, rng)
+        dup = rng.choice(30, n_dup, replace=False)
+        a = np.concatenate([a, a[:, dup] * dup_scale], axis=1)
+        y = a[:, dup[0]]
+        res = omp_detect(y, a, max_iters=a.shape[1])
+        assert len(res.indices) == len(set(res.indices))
+        assert np.linalg.matrix_rank(a[:, res.indices]) == len(res.indices)
+
+    def test_parallel_columns_select_one(self):
+        c = gaussian_dict(12, 1, 0)[:, 0]
+        a = np.column_stack([c, c, 2.0 * c])
+        res = omp_detect(c, a, max_iters=3)
+        assert len(res.indices) == 1
+        assert res.residual_energy < 1e-20
 
 
 class TestEnergyDetect:

@@ -116,6 +116,13 @@ class TestConfigs:
                 repetitions=65,
             )
 
+    def test_ml_codec_needs_single_copy(self):
+        kw = dict(preamble=PreambleSpec(size=8, base_length=31, repetitions=2),
+                  n_occasions=8, occasion_len=64, codec=ML8)
+        with pytest.raises(ProtocolError, match="ML codec"):
+            SbidmaConfig(repetitions=2, **kw)
+        assert SbidmaConfig(repetitions=1, **kw).rho == 1
+
 
 class TestEncode:
     def test_frame_sparsity(self):
