@@ -54,61 +54,120 @@ def omp_detect(
     costs one pass over the dictionary plus O(length * k) for the k selected
     columns.  `coefficients` are in the units of the dictionary passed in;
     the selected indices do not change when every column is scaled by the
-    same positive constant.
+    same positive constant.  This is `omp_detect_many` on one signal.
+    """
+    y = np.asarray(y)
+    if y.ndim != 1:
+        raise DetectionError("signal must be 1-D")
+    return omp_detect_many(y[:, None], dictionary, max_iters, residual_threshold)[0]
+
+
+def omp_detect_many(
+    ys: np.ndarray,
+    dictionary,
+    max_iters,
+    residual_threshold=0.0,
+) -> list[DetectionResult]:
+    """`omp_detect` on every column of `ys` (shape (length, B)), in lockstep.
+
+    `max_iters` and `residual_threshold` are scalars or one value per column.
+    Each column keeps its own selections, Cholesky factor and stopping rule;
+    only the correlation step is shared.  Every iteration correlates all
+    still-running residuals at once, conj(R) @ A with R the (running, length)
+    residuals, so the dictionary is read once per iteration for the batch
+    instead of once per signal (Batch-OMP in the sense of Rubinstein,
+    Zibulevsky & Elad 2008, without their precomputed Gram matrix, which
+    does not fit in memory for large dictionaries).  The matrix product
+    rounds differently from a one-signal product, by about 1e-13 relative;
+    only the argmax reads the correlations.
     """
     a = _columns(dictionary)
     if a.ndim != 2:
         raise DetectionError("dictionary must be a 2-D column matrix")
-    if len(y) != a.shape[0]:
-        raise DetectionError(f"signal length {len(y)} != column length {a.shape[0]}")
-    y = np.asarray(y, dtype=complex)
-    e_y = energy(y)
-    stop_energy = residual_threshold * e_y
-    max_iters = max(0, min(max_iters, a.shape[1]))
+    ys = np.asarray(ys)
+    if ys.ndim != 2:
+        raise DetectionError("signals must be a 2-D array with one signal per column")
+    if ys.shape[0] != a.shape[0]:
+        raise DetectionError(f"signal length {ys.shape[0]} != column length {a.shape[0]}")
+    count = ys.shape[1]
+    iters = np.broadcast_to(max_iters, (count,))
+    thresholds = np.broadcast_to(residual_threshold, (count,))
+    states = [
+        _CholeskyOmp(ys[:, b], a, int(iters[b]), float(thresholds[b])) for b in range(count)
+    ]
+    running = [s for s in states if s.running]
+    while running:
+        conj_residuals = np.empty((len(running), a.shape[0]), dtype=complex)
+        for row, state in zip(conj_residuals, running):
+            np.conjugate(state.residual, out=row)
+        # |conj(r)^T a_j| == |a_j^H r| without a conjugated dictionary copy.
+        corr = np.abs(conj_residuals @ a)
+        for state, c in zip(running, corr):
+            state.step(c)
+        running = [s for s in running if s.running]
+    return [s.result() for s in states]
 
-    selected: list[int] = []
-    rows = np.empty((max_iters, a.shape[0]), dtype=complex)   # selected columns
-    chol = np.zeros((max_iters, max_iters), dtype=complex, order="F")   # L L^H = Gram
-    z = np.empty(max_iters, dtype=complex)                    # L z = A_s^H y
-    coef = np.zeros(0, dtype=complex)
-    residual = y
-    res_energy = e_y
-    history = [res_energy]
-    for k in range(max_iters):
-        if res_energy <= stop_energy:
-            break
-        # |a_j^T conj(r)| == |a_j^H r| without a conjugated dictionary copy.
-        corr = np.abs(a.T @ residual.conj())
-        corr[selected] = -1.0
+
+class _CholeskyOmp:
+    """One signal's OMP-Cholesky state inside `omp_detect_many`."""
+
+    def __init__(self, y: np.ndarray, a: np.ndarray, max_iters: int, residual_threshold: float):
+        self.a = a
+        self.y = np.array(y, dtype=complex)        # contiguous copy of the column
+        e_y = energy(self.y)
+        self.stop_energy = residual_threshold * e_y
+        self.max_iters = max(0, min(max_iters, a.shape[1]))
+        self.selected: list[int] = []
+        # L L^H = Gram matrix of the selected columns, and L z = A_s^H y.
+        self.chol = np.zeros((self.max_iters, self.max_iters), dtype=complex, order="F")
+        self.z = np.empty(self.max_iters, dtype=complex)
+        self.coef = np.zeros(0, dtype=complex)
+        self.residual = self.y
+        self.res_energy = e_y
+        self.history = [e_y]
+        self.running = self.max_iters > 0 and e_y > self.stop_energy
+
+    def step(self, corr: np.ndarray) -> None:
+        """One selection from this signal's correlations |a_j^H r| (overwritten)."""
+        k = len(self.selected)
+        corr[self.selected] = -1.0
         j = int(np.argmax(corr))
-        col = a[:, j]
+        col = self.a[:, j]
         col_energy = energy(col)
+        # The selected columns and a_j as rows, gathered afresh each step:
+        # holding them for every signal of a batch would cost more memory
+        # than the gather costs time.
+        rows = self.a.T[self.selected + [j]]
         # New Cholesky row [w^H, d]: L w = A_s^H a_j, d^2 = |a_j|^2 - |w|^2.
         # Triangular solves call BLAS trsv directly: the checked scipy
         # wrappers cost more than the solves at these sizes.
         w = (rows[:k] @ col.conj()).conj()
         if k:
-            w = ztrsv(chol[:k, :k], w, lower=1)
+            w = ztrsv(self.chol[:k, :k], w, lower=1)
         pivot = col_energy - energy(w)
         if pivot <= LS_PIVOT_TOL * col_energy:
-            break
+            self.running = False
+            return
         d = np.sqrt(pivot)
-        chol[k, :k] = w.conj()
-        chol[k, k] = d
-        rows[k] = col
-        z[k] = (np.vdot(col, y) - np.vdot(w, z[:k])) / d
-        selected.append(j)
-        coef = ztrsv(chol[: k + 1, : k + 1], z[: k + 1], lower=1, trans=2)   # L^H c = z
-        residual = y - rows[: k + 1].T @ coef
+        self.chol[k, :k] = w.conj()
+        self.chol[k, k] = d
+        self.z[k] = (np.vdot(col, self.y) - np.vdot(w, self.z[:k])) / d
+        self.selected.append(j)
+        # L^H c = z
+        self.coef = ztrsv(self.chol[: k + 1, : k + 1], self.z[: k + 1], lower=1, trans=2)
+        self.residual = self.y - rows.T @ self.coef
         # LS projection cannot increase the residual; clamp float jitter.
-        res_energy = min(res_energy, energy(residual))
-        history.append(res_energy)
-    return DetectionResult(
-        indices=selected,
-        coefficients=coef,
-        residual_energy=res_energy,
-        residual_history=history,
-    )
+        self.res_energy = min(self.res_energy, energy(self.residual))
+        self.history.append(self.res_energy)
+        self.running = k + 1 < self.max_iters and self.res_energy > self.stop_energy
+
+    def result(self) -> DetectionResult:
+        return DetectionResult(
+            indices=self.selected,
+            coefficients=self.coef,
+            residual_energy=self.res_energy,
+            residual_history=self.history,
+        )
 
 
 def energy_detect(y_segment: np.ndarray, threshold_factor: float, noise_power: float) -> bool:

@@ -4,7 +4,8 @@ bisection search that produces load-versus-SNR operating curves.
 Determinism: every trial owns an rng seeded by
 ``SeedSequence(entropy=root_seed, spawn_key=(ka, probe, trial))`` where
 `probe` counts SNR evaluations inside a search, so results are independent
-of execution order and of the worker count (``UMAC_BENCH_THREADS``).
+of execution order, of the worker count (``UMAC_BENCH_THREADS``) and of
+how trials are grouped into batches (``TRIAL_BATCH``).
 All aggregation sums integer counters.
 """
 from __future__ import annotations
@@ -17,17 +18,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelModel, complex_noise
-from .codec import CodecModel, SlottedAlohaConfig, decode, encode
+from .codec import CodecModel, SlotSelection, SlottedAlohaConfig, decode, encode, hash_slot
 from .protocols import (
     ReceiverMode,
     TransmissionRecord,
     TwoStepConfig,
     encode_user,
     slotted_aloha_receive,
-    twostep_receive,
+    twostep_receive,  # noqa: F401  perfbench/spans.py wraps it under this name
+    twostep_receive_many,
 )
 
 Z_95 = 1.959963984540054
+
+# Trials received together by `run_trials`.  A two-step batch reads the
+# preamble dictionary once per OMP iteration instead of once per trial, and
+# holds this many frames and their users' signals at once.  Per-trial seeds
+# make the counts independent of how trials are batched.
+TRIAL_BATCH = 16
 
 
 class MonteCarloError(ValueError):
@@ -107,34 +115,52 @@ class TwoStepExperiment:
     noise_power: float = 1.0
 
     def run_trial(self, ka: int, snr_db: float, rng: np.random.Generator) -> tuple[int, int]:
+        """(failed, clashes) of one trial: `run_trials` on a single rng."""
+        return self.run_trials(ka, snr_db, [rng])[0]
+
+    def run_trials(
+        self, ka: int, snr_db: float, rngs: list[np.random.Generator]
+    ) -> list[tuple[int, int]]:
+        """(failed, clashes) per rng.  Each trial draws its users and then its
+        noise from its own rng; the frames are received together
+        (`twostep_receive_many`), which gives each the outcome it would get
+        alone."""
         cfg = self.config
         power = self.noise_power * 10.0 ** (snr_db / 10.0)
         fading = cfg.channel_model is ChannelModel.RAYLEIGH
-        users = []
-        for _ in range(ka):
-            msg = draw_message(rng, cfg.codec.payload_bits)
-            if fading:
-                gain = complex(
-                    (rng.standard_normal() + 1j * rng.standard_normal()) / math.sqrt(2.0)
-                )
-            else:
-                gain = 1.0 + 0.0j
-            users.append(encode_user(cfg, msg, rng, power=power, gain=gain))
-        record = TransmissionRecord(config=cfg, power=power, users=users)
+        records = []
+        for rng in rngs:
+            users = []
+            for _ in range(ka):
+                msg = draw_message(rng, cfg.codec.payload_bits)
+                if fading:
+                    gain = complex(
+                        (rng.standard_normal() + 1j * rng.standard_normal()) / math.sqrt(2.0)
+                    )
+                else:
+                    gain = 1.0 + 0.0j
+                users.append(encode_user(cfg, msg, rng, power=power, gain=gain))
+            records.append(TransmissionRecord(config=cfg, power=power, users=users))
+        # A generator: the receiver copies each frame as it takes it, so the
+        # frames built here are freed one by one instead of all staying alive.
+        frames = (self._frame(record, rng) for record, rng in zip(records, rngs))
+        outcomes = twostep_receive_many(frames, cfg, self.receiver, records, self.noise_power)
+        return [
+            _score([u.message for u in record.users], outcome.decoded_messages)
+            for record, outcome in zip(records, outcomes)
+        ]
 
+    def _frame(self, record: TransmissionRecord, rng: np.random.Generator) -> np.ndarray:
+        """Noise from `rng` plus every user's faded transmission."""
+        cfg = self.config
         y = complex_noise(cfg.frame_len, self.noise_power, rng)
         pre_len = cfg.preamble_region_len
-        for u in users:
+        for u in record.users:
             y[:pre_len] += u.gain * u.preamble_signal
             for occ in u.occasions:
                 off = cfg.occasion_offset(occ)
                 y[off : off + len(u.copy_signal)] += u.gain * u.copy_signal
-
-        outcome = twostep_receive(y, cfg, self.receiver, record, self.noise_power)
-        messages = [u.message for u in users]
-        failed = sum(m not in outcome.decoded_messages for m in messages)
-        clashes = ka - len(set(messages))
-        return failed, clashes
+        return y
 
 
 @dataclass(frozen=True)
@@ -149,7 +175,10 @@ class SlottedAlohaExperiment:
         placements = []
         for _ in range(ka):
             msg = draw_message(rng, cfg.codec.payload_bits)
-            slot = int(rng.integers(0, cfg.slots))
+            if cfg.slot_selection is SlotSelection.PAYLOAD_HASH:
+                slot = hash_slot(msg, cfg.codec.payload_bits, cfg.slots)
+            else:
+                slot = int(rng.integers(0, cfg.slots))
             placements.append((msg, slot))
         y = complex_noise(cfg.frame_len, self.noise_power, rng)
         for msg, slot in placements:
@@ -159,10 +188,20 @@ class SlottedAlohaExperiment:
         outcome = slotted_aloha_receive(
             y, cfg, self.receiver, placements, self.noise_power, power=power
         )
-        messages = [m for m, _ in placements]
-        failed = sum(m not in outcome.decoded_messages for m in messages)
-        clashes = ka - len(set(messages))
-        return failed, clashes
+        return _score([m for m, _ in placements], outcome.decoded_messages)
+
+    def run_trials(
+        self, ka: int, snr_db: float, rngs: list[np.random.Generator]
+    ) -> list[tuple[int, int]]:
+        """(failed, clashes) per rng, one `run_trial` each."""
+        return [self.run_trial(ka, snr_db, rng) for rng in rngs]
+
+
+def _score(messages: list[int], decoded: set[int]) -> tuple[int, int]:
+    """(failed, clashes): messages missing from the decoded set, and users
+    that drew an already-drawn message."""
+    failed = sum(m not in decoded for m in messages)
+    return failed, len(messages) - len(set(messages))
 
 
 # ---------------------------------------------------------------------------
@@ -178,10 +217,14 @@ def _trial_rng(seed: int, ka: int, probe: int, trial: int) -> np.random.Generato
 def _trials_chunk(experiment, ka, snr_db, seed, probe, start, count):
     failed = 0
     clashes = 0
-    for t in range(start, start + count):
-        f, c = experiment.run_trial(ka, snr_db, _trial_rng(seed, ka, probe, t))
-        failed += f
-        clashes += c
+    for first in range(start, start + count, TRIAL_BATCH):
+        rngs = [
+            _trial_rng(seed, ka, probe, t)
+            for t in range(first, min(first + TRIAL_BATCH, start + count))
+        ]
+        for f, c in experiment.run_trials(ka, snr_db, rngs):
+            failed += f
+            clashes += c
     return failed, clashes
 
 

@@ -24,6 +24,7 @@ The receivers are genie-aided where a surrogate codec needs it:
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import lru_cache
@@ -32,7 +33,14 @@ import numpy as np
 
 from .channel import ChannelModel, energy
 from .codec import CodecModel, CodecSpec, SlottedAlohaConfig, decode, encode
-from .detection import energy_detect, ls_channel_estimate, omp_detect, subtract
+from .detection import (
+    DetectionResult,
+    energy_detect,
+    ls_channel_estimate,
+    omp_detect,  # noqa: F401  perfbench/spans.py wraps it under this name
+    omp_detect_many,
+    subtract,
+)
 from .sequences import Dictionary, DictionaryKind, build_preamble_dictionary, build_pilot_dictionary
 
 
@@ -345,6 +353,9 @@ def _effective_sinr(
     Per copy: |h|^2 E_cw / (sigma^2 n_occ + sum_v |h_v|^2 E_v + |h_hat - h|^2 E_cw)
     where v runs over uncancelled co-occasion users and the last term models
     the loss from imperfect pilot-based channel estimation (fading only).
+    `active` holds the uncancelled users sorted by (message, preamble_index):
+    that order fixes the summation order, so the result does not depend on
+    the order of the genie record.
     """
     fading = cfg.channel_model is ChannelModel.RAYLEIGH
     sig = abs(user.gain) ** 2 * user.codeword_energy
@@ -352,7 +363,7 @@ def _effective_sinr(
     total = 0.0
     for occ in user.occasions:
         interference = 0.0
-        for v in sorted(active, key=lambda u: (u.message, u.preamble_index)):
+        for v in active:
             if v is user:
                 continue
             if occ in v.occasions:
@@ -374,44 +385,99 @@ def twostep_receive(
     mode: ReceiverMode,
     genie: TransmissionRecord,
     noise_power: float,
-    ka_hypothesis: int | None = None,
 ) -> DecodeOutcome:
     """OMP preamble detection, per-preamble decode attempts, optional ideal SIC.
 
     TIN stops after one round; TIN-SIC cancels the ground-truth contribution
     of every decoded user and repeats until no round decodes anybody new.
+    This is `twostep_receive_many` on one frame.
+    """
+    return twostep_receive_many([y], cfg, mode, [genie], noise_power)[0]
+
+
+def twostep_receive_many(
+    ys: Iterable[np.ndarray],
+    cfg: TwoStepConfig,
+    mode: ReceiverMode,
+    genies: list[TransmissionRecord],
+    noise_power: float,
+) -> list[DecodeOutcome]:
+    """`twostep_receive` on every frame of `ys`, each with its own genie record.
+
+    The frames' SIC rounds advance together: each round makes one
+    `omp_detect_many` call over the frames still decoding, so the preamble
+    dictionary is read once per OMP iteration for the whole batch.  Each
+    frame's outcome is the one `twostep_receive` gives it alone.  Each frame
+    is copied as it is taken from `ys`, so the caller's frames are not
+    modified, and a generator lets them be freed one by one.
     """
     # OMP's support and its relative stopping rule do not depend on a common
     # column scale, so the unit-power dictionary serves every power.
     pre_dict, _ = build_dictionaries(cfg)
     pre_len = cfg.preamble_region_len
-    ka = ka_hypothesis if ka_hypothesis is not None else max(1, len(genie.users))
-    max_iters = min(2 * ka, cfg.preamble.size)
-
-    y_work = y.copy()
-    cancelled: set[int] = set()         # ids of cancelled users
-    decoded: set[int] = set()
-    detected_all: set[int] = set()
-    round_decodes: list[int] = []
-    rounds = 0
-    max_rounds = len(genie.users) + 1
-
-    while rounds < max_rounds:
-        rounds += 1
-        y_pre = y_work[:pre_len]
-        e_pre = energy(y_pre)
-        if e_pre <= 0:
+    frames = [_SicFrame(y, genie) for y, genie in zip(ys, genies, strict=True)]
+    running = frames
+    while running:
+        detecting: list[_SicFrame] = []
+        thresholds: list[float] = []
+        for f in running:
+            f.rounds += 1
+            e_pre = energy(f.y[:pre_len])
+            if e_pre > 0:
+                detecting.append(f)
+                thresholds.append(min(1.0, 1.1 * noise_power * pre_len / e_pre))
+        if not detecting:
             break
-        thr = min(1.0, 1.1 * noise_power * pre_len / e_pre)
-        det = omp_detect(y_pre, pre_dict, max_iters=max_iters, residual_threshold=thr)
-        detected_all.update(det.indices)
+        max_iters = [min(2 * max(1, len(f.genie.users)), cfg.preamble.size) for f in detecting]
+        dets = omp_detect_many(
+            np.column_stack([f.y[:pre_len] for f in detecting]),
+            pre_dict,
+            max_iters=max_iters,
+            residual_threshold=thresholds,
+        )
+        running = []
+        for f, det in zip(detecting, dets):
+            newly = f.decode_round(cfg, det, noise_power)
+            # Every further round needs a new decode, so len(users) + 1 rounds
+            # is the most a frame can use.
+            if mode is ReceiverMode.TIN_SIC and newly and f.rounds <= len(f.genie.users):
+                f.cancel(cfg, newly)
+                running.append(f)
+    return [f.outcome() for f in frames]
 
+
+class _SicFrame:
+    """One frame's receiver state inside `twostep_receive_many`."""
+
+    def __init__(self, y: np.ndarray, genie: TransmissionRecord):
+        self.y = np.array(y, dtype=complex)     # own copy, cancelled in place
+        self.genie = genie
+        self.cancelled: set[int] = set()        # ids of cancelled users
+        self.decoded: set[int] = set()
+        self.detected: set[int] = set()
+        self.round_decodes: list[int] = []
+        self.rounds = 0
+
+    def decode_round(
+        self, cfg: TwoStepConfig, det: DetectionResult, noise_power: float
+    ) -> list[UserTx]:
+        """One decode attempt per detected preamble; returns the users decoded."""
+        users = self.genie.users
+        self.detected.update(det.indices)
+        # Cancellation waits for the end of the round, so the uncancelled
+        # set, in the order `_effective_sinr` sums it, is built once.
+        active = sorted(
+            (v for v in users if id(v) not in self.cancelled),
+            key=lambda u: (u.message, u.preamble_index),
+        )
         newly: list[UserTx] = []
         for p in det.indices:
             cand = [
                 u
-                for u in genie.users
-                if u.preamble_index == p and id(u) not in cancelled and u.message not in decoded
+                for u in users
+                if u.preamble_index == p
+                and id(u) not in self.cancelled
+                and u.message not in self.decoded
             ]
             if not cand:
                 continue
@@ -422,40 +488,35 @@ def twostep_receive(
             if len(cand) > 1 and strengths[0] == strengths[1]:
                 continue
             u = max(cand, key=lambda t: abs(t.gain) ** 2)
-            active = [v for v in genie.users if id(v) not in cancelled]
             if cfg.codec.model is CodecModel.ORACLE_THRESHOLD:
-                sinr = _effective_sinr(cfg, u, active, y_work, noise_power)
+                sinr = _effective_sinr(cfg, u, active, self.y, noise_power)
                 ok, msg = decode(cfg.codec, genie_sinr=sinr, true_message=u.message)
             else:
-                ok, msg = _ml_attempt(cfg, u, y_work, genie.power)
-            if ok and msg is not None and msg not in decoded:
-                decoded.add(msg)
-                match = next(
-                    (
-                        v
-                        for v in cand
-                        if v.message == msg
-                    ),
-                    None,
-                )
+                ok, msg = _ml_attempt(cfg, u, self.y, self.genie.power)
+            if ok and msg is not None and msg not in self.decoded:
+                self.decoded.add(msg)
+                match = next((v for v in cand if v.message == msg), None)
                 if match is not None:
                     newly.append(match)
-        round_decodes.append(len(newly))
-        if mode is ReceiverMode.TIN or not newly:
-            break
+        self.round_decodes.append(len(newly))
+        return newly
+
+    def cancel(self, cfg: TwoStepConfig, newly: list[UserTx]) -> None:
+        """Ideal SIC: subtract the users' exact contributions from the frame."""
         for u in newly:
-            cancelled.add(id(u))
-            y_work = subtract(y_work, u.gain * u.preamble_signal, 0)
+            self.cancelled.add(id(u))
+            self.y[: len(u.preamble_signal)] -= u.gain * u.preamble_signal
             for occ in u.occasions:
-                y_work = subtract(
-                    y_work, u.gain * u.copy_signal, cfg.occasion_offset(occ)
-                )
-    return DecodeOutcome(
-        decoded_messages=decoded,
-        detected_preambles=detected_all,
-        sic_rounds=rounds,
-        round_decodes=round_decodes,
-    )
+                off = cfg.occasion_offset(occ)
+                self.y[off : off + len(u.copy_signal)] -= u.gain * u.copy_signal
+
+    def outcome(self) -> DecodeOutcome:
+        return DecodeOutcome(
+            decoded_messages=self.decoded,
+            detected_preambles=self.detected,
+            sic_rounds=self.rounds,
+            round_decodes=self.round_decodes,
+        )
 
 
 def _ml_attempt(
@@ -479,7 +540,6 @@ def sbidma_receive(
     mode: ReceiverMode,
     genie: TransmissionRecord,
     noise_power: float,
-    ka_hypothesis: int | None = None,
 ) -> DecodeOutcome:
     """Two-step receiver for SB-IDMA configs.
 
@@ -488,7 +548,7 @@ def sbidma_receive(
     """
     if not isinstance(cfg, SbidmaConfig):
         raise ProtocolError("sbidma_receive needs an SbidmaConfig")
-    return twostep_receive(y, cfg, mode, genie, noise_power, ka_hypothesis)
+    return twostep_receive(y, cfg, mode, genie, noise_power)
 
 
 # ---------------------------------------------------------------------------

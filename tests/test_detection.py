@@ -11,6 +11,7 @@ from umacsim.detection import (
     energy_detect,
     ls_channel_estimate,
     omp_detect,
+    omp_detect_many,
     subtract,
 )
 from umacsim.sequences import build_preamble_dictionary
@@ -167,6 +168,71 @@ class TestOmpEquivalence:
         res = omp_detect(c, a, max_iters=3)
         assert len(res.indices) == 1
         assert res.residual_energy < 1e-20
+
+
+@st.composite
+def stacked_problems(draw):
+    """(dictionary, signals as columns, max_iters, thresholds, rank).
+
+    The dictionary has `rank` < rows independent Gaussian columns plus
+    scaled duplicates of some of them, so a signal with a noise component
+    outside their span never reaches a zero residual: without an earlier
+    stop, OMP selects `rank` columns and then stops at the pivot test on
+    a column already in the span.  Signal 0 always runs to that stop.
+    Duplicate scales stay away from 1, where a column and its duplicate
+    would tie exactly.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = draw(st.integers(12, 40))
+    rank = draw(st.integers(2, rows - 2))
+    base = gaussian_dict(rows, rank, rng)
+    dup = rng.choice(rank, draw(st.integers(1, rank)), replace=False)
+    scale = draw(st.one_of(st.floats(0.1, 0.7), st.floats(1.5, 10.0)))
+    a = np.concatenate([base, base[:, dup] * scale], axis=1)
+    count = draw(st.integers(2, 6))
+    ys = np.empty((rows, count), dtype=complex)
+    for b in range(count):
+        k = int(rng.integers(1, rank + 1))
+        support = rng.choice(rank, k, replace=False)
+        coefs = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        noise_std = draw(st.floats(0.01, 0.5))
+        ys[:, b] = base[:, support] @ coefs + noise_std * complex_noise(rows, 1.0, rng)
+    max_iters = [a.shape[1]] + [draw(st.integers(1, a.shape[1])) for _ in range(count - 1)]
+    stops = [0.0] + [draw(thresholds) for _ in range(count - 1)]
+    return a, ys, max_iters, stops, rank
+
+
+class TestOmpMany:
+    @omp_settings
+    @given(stacked_problems())
+    def test_each_column_matches_omp_detect(self, problem):
+        a, ys, max_iters, thresholds, rank = problem
+        many = omp_detect_many(ys, a, max_iters=max_iters, residual_threshold=thresholds)
+        assert len(many) == ys.shape[1]
+        # Signal 0 selected the whole span and stopped at the pivot test.
+        assert len(many[0].indices) == rank
+        for b, res in enumerate(many):
+            alone = omp_detect(ys[:, b], a, max_iters[b], thresholds[b])
+            assert res.indices == alone.indices
+            np.testing.assert_allclose(res.coefficients, alone.coefficients, rtol=0, atol=1e-10)
+            assert abs(res.residual_energy - alone.residual_energy) <= 1e-10
+
+    def test_scalar_arguments_apply_to_every_column(self):
+        a = gaussian_dict(30, 60, 5)
+        rng = np.random.default_rng(6)
+        ys = a[:, :3] + 0.05 * np.stack([complex_noise(30, 1.0, rng) for _ in range(3)], axis=1)
+        many = omp_detect_many(ys, a, max_iters=4, residual_threshold=0.01)
+        for b, res in enumerate(many):
+            assert res.indices == omp_detect(ys[:, b], a, 4, 0.01).indices
+
+    def test_shape_errors(self):
+        a = gaussian_dict(6, 4, 0)
+        with pytest.raises(DetectionError):
+            omp_detect_many(np.zeros((5, 2), complex), a, max_iters=1)
+        with pytest.raises(DetectionError):
+            omp_detect_many(np.zeros(6, complex), a, max_iters=1)
+        with pytest.raises(DetectionError):
+            omp_detect(np.zeros((6, 1), complex), a, max_iters=1)
 
 
 class TestEnergyDetect:

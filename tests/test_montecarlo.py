@@ -3,19 +3,30 @@ import math
 import numpy as np
 import pytest
 
+from umacsim import montecarlo
 from umacsim.channel import ChannelModel
-from umacsim.codec import CodecModel, CodecSpec, SlottedAlohaConfig
+from umacsim.codec import CodecModel, CodecSpec, SlotSelection, SlottedAlohaConfig, hash_slot
 from umacsim.montecarlo import (
+    TRIAL_BATCH,
     MonteCarloError,
     SlottedAlohaExperiment,
     TwoStepExperiment,
+    _trial_rng,
     draw_message,
     estimate_pupe,
     min_snr_for_pupe,
     run_sweep,
     wilson_interval,
 )
-from umacsim.protocols import PreambleSpec, ReceiverMode, TwoStepConfig
+from umacsim.protocols import (
+    Mapping,
+    PreambleSpec,
+    ReceiverMode,
+    SbidmaConfig,
+    TwoStepConfig,
+    slotted_aloha_receive,
+)
+from umacsim.sequences import DictionaryKind
 
 ORACLE = CodecSpec(codeword_bits=500, payload_bits=100)
 ML8 = CodecSpec(codeword_bits=128, payload_bits=8, model=CodecModel.ML_RANDOM_GAUSSIAN)
@@ -98,6 +109,29 @@ class TestEstimatePupe:
         parallel = estimate_pupe(exp, 3, 0.0, 40, seed=5)
         assert serial == parallel
 
+    def test_batching_does_not_change_counts(self, monkeypatch):
+        # Serial runs batch the 37 trials as 16+16+5, two workers as
+        # 16+3 and 16+2, and run_trial as 37 batches of one.
+        cfg = SbidmaConfig(
+            preamble=PreambleSpec(size=96, base_length=48, kind=DictionaryKind.GAUSSIAN),
+            n_occasions=12, occasion_len=120,
+            codec=CodecSpec(codeword_bits=200, payload_bits=100), pilot_len=20,
+            channel_model=ChannelModel.RAYLEIGH, mapping=Mapping.MANY_TO_ONE,
+            repetitions=2,
+        )
+        exp = TwoStepExperiment(config=cfg, receiver=ReceiverMode.TIN_SIC)
+        ka, snr_db, trials, seed = 8, 10.0, 37, 3
+        assert trials > 2 * TRIAL_BATCH
+        serial = estimate_pupe(exp, ka, snr_db, trials, seed)
+        monkeypatch.setenv("UMAC_BENCH_THREADS", "2")
+        parallel = estimate_pupe(exp, ka, snr_db, trials, seed)
+        one_by_one = [
+            exp.run_trial(ka, snr_db, _trial_rng(seed, ka, 0, t)) for t in range(trials)
+        ]
+        assert serial == parallel
+        assert (serial.failures, serial.clashes) == tuple(map(sum, zip(*one_by_one)))
+        assert 0 < serial.failures < serial.total
+
     def test_validation(self):
         exp = baseline_experiment()
         with pytest.raises(MonteCarloError):
@@ -172,6 +206,35 @@ class TestRunSweep:
         fwd = run_sweep(exp, [1, 2], 0.05, -10.0, 10.0, seed=8, trials_schedule=(30, 60))
         rev = run_sweep(exp, [2, 1], 0.05, -10.0, 10.0, seed=8, trials_schedule=(30, 60))
         assert sorted(map(repr, fwd)) == sorted(map(repr, rev))
+
+
+class TestSlotSelection:
+    CODEC = CodecSpec(codeword_bits=64, payload_bits=8)
+
+    def placements(self, monkeypatch, selection, seed):
+        seen = []
+
+        def spy(y, cfg, mode, genie, *args, **kwargs):
+            seen.extend(genie)
+            return slotted_aloha_receive(y, cfg, mode, genie, *args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "slotted_aloha_receive", spy)
+        cfg = SlottedAlohaConfig(slots=64, codec=self.CODEC, slot_selection=selection)
+        SlottedAlohaExperiment(config=cfg).run_trial(5, 40.0, np.random.default_rng(seed))
+        return seen
+
+    def test_payload_hash_places_by_message_without_rng_draws(self, monkeypatch):
+        for seed in range(20):
+            seen = self.placements(monkeypatch, SlotSelection.PAYLOAD_HASH, seed)
+            rng = np.random.default_rng(seed)
+            assert [m for m, _ in seen] == [draw_message(rng, 8) for _ in range(5)]
+            assert all(slot == hash_slot(m, 8, 64) for m, slot in seen)
+
+    def test_uniform_random_ignores_the_hash(self, monkeypatch):
+        seen = []
+        for seed in range(20):
+            seen += self.placements(monkeypatch, SlotSelection.UNIFORM_RANDOM, seed)
+        assert any(slot != hash_slot(m, 8, 64) for m, slot in seen)
 
 
 class TestClashAccounting:

@@ -24,6 +24,7 @@ from umacsim.protocols import (
     slotted_aloha_receive,
     twostep_encode,
     twostep_receive,
+    twostep_receive_many,
 )
 
 ORACLE = CodecSpec(codeword_bits=500, payload_bits=100)
@@ -283,6 +284,40 @@ class TestTwoStepReceive:
                 TransmissionRecord(cfg, power, list(reversed(users))), 1.0,
             )
             assert fwd.decoded_messages == rev.decoded_messages
+
+
+class TestTwoStepReceiveMany:
+    def test_batch_matches_one_frame_at_a_time(self):
+        # Different user counts give the frames different OMP iteration caps
+        # and SIC round counts.
+        cfg = fading_cfg()
+        power = 10 ** 1.2
+        rng = np.random.default_rng(11)
+        frames, records = [], []
+        for ka in (1, 3, 5, 8, 2, 6, 4):
+            users = []
+            for _ in range(ka):
+                gain = complex(
+                    (rng.standard_normal() + 1j * rng.standard_normal()) / math.sqrt(2)
+                )
+                users.append(encode_user(cfg, draw_message(rng, 100), rng,
+                                         power=power, gain=gain))
+            records.append(TransmissionRecord(cfg, power, users))
+            frames.append(transmit(cfg, users, 1.0, rng))
+        before = [y.copy() for y in frames]
+        for mode in ReceiverMode:
+            many = twostep_receive_many(frames, cfg, mode, records, 1.0)
+            alone = [twostep_receive(y, cfg, mode, r, 1.0) for y, r in zip(frames, records)]
+            assert many == alone
+            assert all(np.array_equal(y, b) for y, b in zip(frames, before))
+        assert any(out.sic_rounds > 1 for out in many)
+        assert sum(len(out.decoded_messages) for out in many) > 0
+
+    def test_frame_and_record_counts_must_match(self):
+        cfg = fading_cfg()
+        with pytest.raises(ValueError):
+            twostep_receive_many([np.zeros(cfg.frame_len, complex)], cfg,
+                                 ReceiverMode.TIN, [], 1.0)
 
 
 class TestSbidmaReceive:
