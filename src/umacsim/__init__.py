@@ -2,11 +2,12 @@
 
 Building blocks:
 
-- ``channel``: K-user Gaussian and quasi-static Rayleigh fading MAC.
+- ``channel``: AWGN and quasi-static Rayleigh channel models, signal energy
+  and complex Gaussian noise.
 - ``bounds``: closed-form references (Aloha collision probability, AWGN
   capacity / dispersion, finite-blocklength normal approximation).
 - ``sequences``: Zadoff-Chu and Gaussian preamble / pilot dictionaries.
-- ``codec``: pluggable inner-code models and the slotted-Aloha codebook.
+- ``codec``: pluggable inner-code models and the slotted-Aloha frame geometry.
 - ``detection``: OMP preamble detection, energy detection, LS channel
   estimation, interference subtraction.
 - ``protocols``: slotted Aloha, two-step random access (message A), and

@@ -1,4 +1,6 @@
-"""K-user Gaussian and quasi-static Rayleigh fading MAC models.
+"""Channel models of the K-user MAC: AWGN, and quasi-static Rayleigh fading
+with one CN(0, 1) gain per user and frame.  The experiments in `montecarlo`
+build the received frame y = sum_i h_i x_i + z from these pieces.
 
 All powers are linear and per complex sample; dB conversions happen only at
 interface boundaries.  A "signal" is a 1-D complex numpy array; its length is
@@ -7,13 +9,9 @@ the number of complex channel uses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-
-# Relative slack on the per-user power constraint, absorbs float rounding.
-POWER_RTOL = 1e-9
 
 
 class ChannelModel(str, Enum):
@@ -21,128 +19,12 @@ class ChannelModel(str, Enum):
     RAYLEIGH = "rayleigh"
 
 
-class ChannelError(ValueError):
-    """Bad channel configuration or inputs violating the channel contract."""
-
-
-@dataclass(frozen=True)
-class ChannelConfig:
-    """Noise power sigma^2 and power limit P, both linear per complex sample."""
-
-    noise_power: float
-    power_limit: float
-    model: ChannelModel = ChannelModel.AWGN
-    noiseless: bool = False
-
-    def __post_init__(self):
-        if self.noise_power <= 0:
-            raise ChannelError(f"noise_power must be > 0, got {self.noise_power}")
-        if self.power_limit <= 0:
-            raise ChannelError(f"power_limit must be > 0, got {self.power_limit}")
-
-    @property
-    def snr(self) -> float:
-        return self.power_limit / self.noise_power
-
-    @property
-    def snr_db(self) -> float:
-        return 10.0 * math.log10(self.snr)
-
-
 def energy(x: np.ndarray) -> float:
     """Total signal energy sum |x_i|^2."""
     return float(np.real(np.vdot(x, x)))
-
-
-def check_power(x: np.ndarray, cfg: ChannelConfig) -> bool:
-    """True iff energy(x) <= n * P, up to a small relative tolerance."""
-    budget = len(x) * cfg.power_limit
-    return energy(x) <= budget * (1.0 + POWER_RTOL)
 
 
 def complex_noise(n: int, variance: float, rng: np.random.Generator) -> np.ndarray:
     """Circularly-symmetric complex Gaussian, `variance` per complex sample."""
     scale = math.sqrt(variance / 2.0)
     return rng.normal(scale=scale, size=n) + 1j * rng.normal(scale=scale, size=n)
-
-
-def sample_fading_gains(k: int, rng: np.random.Generator) -> np.ndarray:
-    """i.i.d. CN(0, 1) frame-constant gains, one per user."""
-    return complex_noise(k, 1.0, rng)
-
-
-def _check_inputs(inputs, cfg: ChannelConfig, n: int | None) -> int:
-    lengths = {len(x) for x in inputs}
-    if len(lengths) > 1:
-        raise ChannelError(f"input length mismatch: {sorted(lengths)}")
-    if inputs:
-        block = lengths.pop()
-        if n is not None and n != block:
-            raise ChannelError(f"n={n} does not match input length {block}")
-        n = block
-    if n is None:
-        raise ChannelError("n must be given when there are no inputs")
-    if n <= 0:
-        raise ChannelError("blocklength must be positive")
-    for i, x in enumerate(inputs):
-        if not check_power(x, cfg):
-            raise ChannelError(
-                f"input {i} violates the power constraint: "
-                f"energy {energy(x):.6g} > n*P = {n * cfg.power_limit:.6g}"
-            )
-    return n
-
-
-def awgn_mac_transmit(
-    inputs: list[np.ndarray],
-    cfg: ChannelConfig,
-    rng: np.random.Generator,
-    n: int | None = None,
-) -> np.ndarray:
-    """Y = sum_i x_i + Z with Z i.i.d. CN(0, sigma^2) per sample.
-
-    `n` is only needed when `inputs` is empty (pure-noise output).
-    """
-    n = _check_inputs(inputs, cfg, n)
-    y = np.zeros(n, dtype=complex)
-    for x in inputs:
-        y += x
-    if not cfg.noiseless:
-        y += complex_noise(n, cfg.noise_power, rng)
-    return y
-
-
-def fading_mac_transmit(
-    inputs: list[np.ndarray],
-    cfg: ChannelConfig,
-    rng: np.random.Generator,
-    n: int | None = None,
-    gains: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Y = sum_i H_i x_i + Z, H_i i.i.d. CN(0,1) constant over the frame.
-
-    Returns (Y, gains).  The gains are ground truth for genie-side scoring
-    and ideal SIC; receivers must not read them outside genie operations.
-    An explicit `gains` array overrides the sampling (used in tests).
-    """
-    if cfg.model is not ChannelModel.RAYLEIGH:
-        raise ChannelError("fading_mac_transmit requires the Rayleigh model")
-    n = _check_inputs(inputs, cfg, n)
-    if gains is None:
-        gains = sample_fading_gains(len(inputs), rng)
-    gains = np.asarray(gains, dtype=complex)
-    if len(gains) != len(inputs):
-        raise ChannelError(f"{len(gains)} gains for {len(inputs)} inputs")
-    y = np.zeros(n, dtype=complex)
-    for h, x in zip(gains, inputs):
-        y += h * x
-    if not cfg.noiseless:
-        y += complex_noise(n, cfg.noise_power, rng)
-    return y, gains
-
-
-def ebn0_db(n: int, cfg: ChannelConfig, log2m: float) -> float:
-    """Energy per information bit over N0 in dB: 10 log10(nP / (2 sigma^2 log2 M))."""
-    if log2m <= 0:
-        raise ChannelError(f"payload must be positive, got log2M={log2m}")
-    return 10.0 * math.log10(n * cfg.power_limit / (2.0 * cfg.noise_power * log2m))

@@ -53,9 +53,10 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     """Flat experiment description; round-trips losslessly through YAML.
 
-    For `slotted_aloha`, n_occasions is the slot count and the preamble,
-    pilot, rho, and energy-policy keys are ignored (but must be present so
-    every config names its full environment).
+    For `slotted_aloha`, n_occasions is the slot count, the channel must be
+    awgn, and the preamble, pilot and energy-policy keys are ignored (but
+    must be present so every config names its full environment); `twostep`
+    ignores energy_policy.  rho must be 1 unless the scenario is `sbidma`.
     """
 
     scenario: str
@@ -101,6 +102,13 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"{key}: {value!r} is not one of {[e.value for e in enum]}"
                 ) from None
+        if self.rho != 1 and self.scenario != "sbidma":
+            raise ConfigError(
+                f"rho: only the sbidma scenario repeats packets; {self.scenario} needs 1, "
+                f"got {self.rho}"
+            )
+        if self.scenario == "slotted_aloha" and self.channel != ChannelModel.AWGN.value:
+            raise ConfigError(f"channel: slotted_aloha runs on awgn only, got {self.channel!r}")
         if not 0.0 < self.target_pupe <= 1.0:
             raise ConfigError(f"target_pupe: must be in (0, 1], got {self.target_pupe}")
         if self.snr_lo_db >= self.snr_hi_db:
@@ -270,14 +278,9 @@ def build_experiment(config: ExperimentConfig):
     return TwoStepExperiment(config=proto, receiver=receiver)
 
 
-def frame_length(config: ExperimentConfig) -> int:
-    experiment = build_experiment(config)
-    return experiment.config.frame_len
-
-
 def ebn0_db(config: ExperimentConfig, snr_db: float) -> float:
     """Eb/N0 = n P / (2 sigma^2 log2 M) for the scenario's frame."""
-    n = frame_length(config)
+    n = build_experiment(config).config.frame_len
     log2m = config.payload_bits
     if config.scenario == "slotted_aloha":
         log2m += math.log2(config.n_occasions)

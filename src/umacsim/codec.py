@@ -1,4 +1,5 @@
-"""Pluggable inner-code models and the slotted-Aloha codebook construction.
+"""Pluggable inner-code models, the slotted-Aloha frame geometry and its
+payload-hash slot choice.
 
 Two codec models replace the standard LDPC / polar codecs:
 
@@ -115,15 +116,12 @@ def _ml_codebook_unit(spec: CodecSpec) -> np.ndarray:
 _QPSK = np.exp(1j * np.pi * (2 * np.arange(4) + 1) / 4)
 
 
-@lru_cache(maxsize=4096)
 def _oracle_codeword_unit(spec: CodecSpec, message: int) -> np.ndarray:
     # entropy as a list of ints supports arbitrary-size messages (k up to 100).
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=[spec.codebook_seed, message])
     )
-    symbols = _QPSK[rng.integers(0, 4, size=spec.complex_uses)]
-    symbols.setflags(write=False)
-    return symbols
+    return _QPSK[rng.integers(0, 4, size=spec.complex_uses)]
 
 
 def encode(spec: CodecSpec, message: int, power: float = 1.0) -> np.ndarray:
@@ -172,31 +170,3 @@ def hash_slot(message: int, payload_bits: int, slots: int) -> int:
     digest = hashlib.sha256(f"{payload_bits}:{message}".encode()).digest()
     return int.from_bytes(digest[:8], "big") % slots
 
-
-def slotted_aloha_encode(
-    cfg: SlottedAlohaConfig,
-    message: int,
-    rng: np.random.Generator,
-    power: float = 1.0,
-) -> tuple[np.ndarray, int]:
-    """One frame: all-zero except the selected slot carrying the codeword."""
-    _check_message(cfg.codec, message)
-    if cfg.slot_selection is SlotSelection.PAYLOAD_HASH:
-        slot = hash_slot(message, cfg.codec.payload_bits, cfg.slots)
-    else:
-        slot = int(rng.integers(0, cfg.slots))
-    frame = np.zeros(cfg.frame_len, dtype=complex)
-    frame[slot * cfg.slot_len : (slot + 1) * cfg.slot_len] = encode(
-        cfg.codec, message, power=power
-    )
-    return frame, slot
-
-
-def slotted_aloha_codebook_size(cfg: SlottedAlohaConfig) -> int:
-    """|codebook| = L * 2^k (exact; Python ints do not overflow)."""
-    return cfg.slots * cfg.codec.n_messages
-
-
-def slotted_aloha_codebook_log2_size(cfg: SlottedAlohaConfig) -> float:
-    """log2 |codebook| = k + log2 L, usable even for k = 100."""
-    return cfg.codec.payload_bits + math.log2(cfg.slots)

@@ -3,7 +3,7 @@ and the windowed subtraction primitive used by interference cancellation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import ztrsv
@@ -26,7 +26,6 @@ class DetectionResult:
     indices: list[int]                 # in selection order, no repeats
     coefficients: np.ndarray           # LS amplitude per selected index
     residual_energy: float
-    residual_history: list[float] = field(default_factory=list)
 
 
 def _columns(dictionary) -> np.ndarray:
@@ -124,7 +123,6 @@ class _CholeskyOmp:
         self.coef = np.zeros(0, dtype=complex)
         self.residual = self.y
         self.res_energy = e_y
-        self.history = [e_y]
         self.running = self.max_iters > 0 and e_y > self.stop_energy
 
     def step(self, corr: np.ndarray) -> None:
@@ -158,7 +156,6 @@ class _CholeskyOmp:
         self.residual = self.y - rows.T @ self.coef
         # LS projection cannot increase the residual; clamp float jitter.
         self.res_energy = min(self.res_energy, energy(self.residual))
-        self.history.append(self.res_energy)
         self.running = k + 1 < self.max_iters and self.res_energy > self.stop_energy
 
     def result(self) -> DetectionResult:
@@ -166,7 +163,6 @@ class _CholeskyOmp:
             indices=self.selected,
             coefficients=self.coef,
             residual_energy=self.res_energy,
-            residual_history=self.history,
         )
 
 

@@ -10,15 +10,16 @@ All aggregation sums integer counters.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ChannelModel, complex_noise
-from .codec import CodecModel, SlotSelection, SlottedAlohaConfig, decode, encode, hash_slot
+from .codec import SlotSelection, SlottedAlohaConfig, encode, hash_slot
 from .protocols import (
     ReceiverMode,
     TransmissionRecord,
@@ -152,14 +153,9 @@ class TwoStepExperiment:
 
     def _frame(self, record: TransmissionRecord, rng: np.random.Generator) -> np.ndarray:
         """Noise from `rng` plus every user's faded transmission."""
-        cfg = self.config
-        y = complex_noise(cfg.frame_len, self.noise_power, rng)
-        pre_len = cfg.preamble_region_len
+        y = complex_noise(self.config.frame_len, self.noise_power, rng)
         for u in record.users:
-            y[:pre_len] += u.gain * u.preamble_signal
-            for occ in u.occasions:
-                off = cfg.occasion_offset(occ)
-                y[off : off + len(u.copy_signal)] += u.gain * u.copy_signal
+            record.add_user(y, u, u.gain)
         return y
 
 
@@ -288,15 +284,6 @@ def estimate_pupe(
 # minimum-SNR search
 
 
-@dataclass
-class _ProbeCounter:
-    value: int = 0
-
-    def next(self) -> int:
-        self.value += 1
-        return self.value - 1
-
-
 def min_snr_for_pupe(
     experiment,
     ka: int,
@@ -321,11 +308,11 @@ def min_snr_for_pupe(
         raise MonteCarloError(f"need snr_lo < snr_hi, got {snr_lo} >= {snr_hi}")
     if not trials_schedule:
         raise MonteCarloError("trials_schedule must be non-empty")
-    probes = _ProbeCounter()
+    probes = itertools.count()
     notes: list[str] = []
 
     def evaluate(snr_db: float, trials: int) -> PupeEstimate:
-        return estimate_pupe(experiment, ka, snr_db, trials, seed, probe=probes.next())
+        return estimate_pupe(experiment, ka, snr_db, trials, seed, probe=next(probes))
 
     if target_eps >= 1.0:
         est = evaluate(snr_lo, trials_schedule[0])

@@ -252,13 +252,18 @@ class TransmissionRecord:
     power: float
     users: list[UserTx] = field(default_factory=list)
 
+    def add_user(self, frame: np.ndarray, user: UserTx, scale: complex) -> None:
+        """Add `scale` times the user's preamble and packet copies to `frame`,
+        in place: the one statement of where a user's signals sit in a frame."""
+        frame[: len(user.preamble_signal)] += scale * user.preamble_signal
+        for occ in user.occasions:
+            off = self.config.occasion_offset(occ)
+            frame[off : off + len(user.copy_signal)] += scale * user.copy_signal
+
     def user_frame(self, user: UserTx) -> np.ndarray:
         """The user's full transmitted frame (before channel gain)."""
         frame = np.zeros(self.config.frame_len, dtype=complex)
-        frame[: len(user.preamble_signal)] = user.preamble_signal
-        for occ in user.occasions:
-            off = self.config.occasion_offset(occ)
-            frame[off : off + len(user.copy_signal)] = user.copy_signal
+        self.add_user(frame, user, 1.0)
         return frame
 
 
@@ -291,7 +296,7 @@ def encode_user(
     preamble = pre_dict.column(preamble_index) * sqrt_p
 
     copy_scale = sqrt_p
-    if cfg.rho > 1 and getattr(cfg, "energy_policy", None) is EnergyPolicy.SPLIT_ACROSS_COPIES:
+    if cfg.rho > 1 and cfg.energy_policy is EnergyPolicy.SPLIT_ACROSS_COPIES:
         copy_scale = sqrt_p / math.sqrt(cfg.rho)
     codeword = encode(cfg.codec, message, power=1.0) * copy_scale
     if cfg.pilot_len > 0:
@@ -309,32 +314,6 @@ def encode_user(
         copy_signal=copy_signal,
         codeword_energy=float(energy(codeword)),
     )
-
-
-def twostep_encode(
-    cfg: TwoStepConfig,
-    message: int,
-    rng: np.random.Generator,
-    power: float = 1.0,
-    preamble_index: int | None = None,
-) -> tuple[np.ndarray, UserTx]:
-    """Full message-A frame: preamble region + packet in the mapped occasion(s)."""
-    user = encode_user(cfg, message, rng, power=power, preamble_index=preamble_index)
-    record = TransmissionRecord(config=cfg, power=power, users=[user])
-    return record.user_frame(user), user
-
-
-def sbidma_encode(
-    cfg: SbidmaConfig,
-    message: int,
-    rng: np.random.Generator,
-    power: float = 1.0,
-    preamble_index: int | None = None,
-) -> tuple[np.ndarray, UserTx]:
-    """Packet repeated in all rho occasions of the preamble-indexed pattern."""
-    if not isinstance(cfg, SbidmaConfig):
-        raise ProtocolError("sbidma_encode needs an SbidmaConfig")
-    return twostep_encode(cfg, message, rng, power=power, preamble_index=preamble_index)
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +420,7 @@ def twostep_receive_many(
             # Every further round needs a new decode, so len(users) + 1 rounds
             # is the most a frame can use.
             if mode is ReceiverMode.TIN_SIC and newly and f.rounds <= len(f.genie.users):
-                f.cancel(cfg, newly)
+                f.cancel(newly)
                 running.append(f)
     return [f.outcome() for f in frames]
 
@@ -501,14 +480,11 @@ class _SicFrame:
         self.round_decodes.append(len(newly))
         return newly
 
-    def cancel(self, cfg: TwoStepConfig, newly: list[UserTx]) -> None:
+    def cancel(self, newly: list[UserTx]) -> None:
         """Ideal SIC: subtract the users' exact contributions from the frame."""
         for u in newly:
             self.cancelled.add(id(u))
-            self.y[: len(u.preamble_signal)] -= u.gain * u.preamble_signal
-            for occ in u.occasions:
-                off = cfg.occasion_offset(occ)
-                self.y[off : off + len(u.copy_signal)] -= u.gain * u.copy_signal
+            self.genie.add_user(self.y, u, -u.gain)
 
     def outcome(self) -> DecodeOutcome:
         return DecodeOutcome(
@@ -534,23 +510,6 @@ def _ml_attempt(
     return decode(cfg.codec, observed=seg, gain=gain * math.sqrt(power), power=1.0)
 
 
-def sbidma_receive(
-    y: np.ndarray,
-    cfg: SbidmaConfig,
-    mode: ReceiverMode,
-    genie: TransmissionRecord,
-    noise_power: float,
-) -> DecodeOutcome:
-    """Two-step receiver for SB-IDMA configs.
-
-    With the oracle codec the rho copies are combined by maximal-ratio
-    combining (their SINRs add); the ML codec is limited to rho = 1.
-    """
-    if not isinstance(cfg, SbidmaConfig):
-        raise ProtocolError("sbidma_receive needs an SbidmaConfig")
-    return twostep_receive(y, cfg, mode, genie, noise_power)
-
-
 # ---------------------------------------------------------------------------
 # slotted Aloha
 
@@ -562,7 +521,6 @@ def slotted_aloha_receive(
     genie: list[tuple[int, int]],      # (message, slot) ground truth
     noise_power: float,
     power: float = 1.0,
-    energy_threshold_factor: float = 1.0,
 ) -> DecodeOutcome:
     """Per-slot energy detection followed by single-user decode attempts.
 
@@ -594,7 +552,7 @@ def slotted_aloha_receive(
             slot_iter = range(cfg.slots)
         for slot in slot_iter:
             seg = y_work[slot * slot_len : (slot + 1) * slot_len]
-            if not energy_detect(seg, energy_threshold_factor, noise_power):
+            if not energy_detect(seg, 1.0, noise_power):
                 continue
             occ = [t for t in occupants.get(slot, []) if t not in cancelled]
             if cfg.codec.model is CodecModel.ORACLE_THRESHOLD:

@@ -1,137 +1,171 @@
+"""The channel as the simulator builds it.
+
+A two-step frame is y = sum_i h_i x_i + z: `TwoStepExperiment._frame` draws
+z with `complex_noise` and places each user's signals with
+`TransmissionRecord.add_user`, the same call ideal SIC makes with -h_i.
+Eb/N0 has one formula, `cli.ebn0_db`.
+"""
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from umacsim.channel import (
-    ChannelConfig,
-    ChannelError,
-    ChannelModel,
-    awgn_mac_transmit,
-    check_power,
-    complex_noise,
-    ebn0_db,
-    energy,
-    fading_mac_transmit,
-    sample_fading_gains,
+from umacsim import montecarlo
+from umacsim.channel import ChannelModel, complex_noise, energy
+from umacsim.cli import ConfigError, ebn0_db, load_preset
+from umacsim.codec import CodecModel, CodecSpec
+from umacsim.montecarlo import TwoStepExperiment, draw_message
+from umacsim.protocols import (
+    DecodeOutcome,
+    PreambleSpec,
+    TransmissionRecord,
+    TwoStepConfig,
+    encode_user,
 )
 
+ML8 = CodecSpec(codeword_bits=128, payload_bits=8, model=CodecModel.ML_RANDOM_GAUSSIAN)
 
-def cfg(noise=1.0, power=1.0, model=ChannelModel.AWGN, noiseless=False):
-    return ChannelConfig(noise_power=noise, power_limit=power, model=model, noiseless=noiseless)
+
+def small_cfg(model=ChannelModel.AWGN, pilot_len=0):
+    return TwoStepConfig(
+        preamble=PreambleSpec(size=8, base_length=31, repetitions=2),
+        n_occasions=8, occasion_len=64 + pilot_len, codec=ML8,
+        pilot_len=pilot_len, channel_model=model,
+    )
+
+
+def users_of(cfg, count, rng, gains=None):
+    gains = [1.0 + 0.0j] * count if gains is None else gains
+    return [encode_user(cfg, draw_message(rng, 8), rng, gain=g) for g in gains]
+
+
+def frame(cfg, users, noise_power, seed):
+    record = TransmissionRecord(cfg, 1.0, users)
+    experiment = TwoStepExperiment(config=cfg, noise_power=noise_power)
+    return experiment._frame(record, np.random.default_rng(seed))
+
+
+def skip_receiver(monkeypatch, records, frames=None):
+    """Keep what `run_trials` hands the two-step receiver, and skip it."""
+
+    def receive(ys, cfg, mode, genies, noise_power):
+        if frames is not None:
+            frames.extend(np.array(y) for y in ys)
+        records.extend(genies)
+        return [DecodeOutcome(set(), set(), 0) for _ in genies]
+
+    monkeypatch.setattr(montecarlo, "twostep_receive_many", receive)
 
 
 class TestAwgnTransmit:
     def test_no_inputs_pure_noise_variance(self):
-        c = cfg(noise=2.0)
-        samples = []
-        for seed in range(2000):
-            y = awgn_mac_transmit([], c, np.random.default_rng(seed), n=4)
-            samples.append(y)
-        z = np.concatenate(samples)
+        cfg = small_cfg()
+        z = np.concatenate([frame(cfg, [], 2.0, seed) for seed in range(200)])
         mean_sq = np.mean(np.abs(z) ** 2)
         # |Z|^2 is exponential with mean sigma^2 and std sigma^2.
         se = 2.0 / math.sqrt(len(z))
         assert abs(mean_sq - 2.0) < 3 * se
 
     def test_noiseless_cancellation(self):
-        x = np.exp(1j * np.linspace(0, 3, 64))
-        y = awgn_mac_transmit([x, -x], cfg(noiseless=True), np.random.default_rng(0))
+        cfg = small_cfg()
+        (user,) = users_of(cfg, 1, np.random.default_rng(0))
+        record = TransmissionRecord(cfg, 1.0, [user])
+        y = np.zeros(cfg.frame_len, dtype=complex)
+        record.add_user(y, user, 0.3 - 1.7j)
+        assert np.any(y != 0)
+        record.add_user(y, user, -(0.3 - 1.7j))
         assert np.all(y == 0)
 
     def test_mean_output_energy_two_users(self):
-        c = cfg(noise=0.5)
-        n = 1000
-        expected = 2.0 + c.noise_power
-        vals = np.empty(10_000)
-        for seed in range(10_000):
-            rng = np.random.default_rng(seed)
-            x1 = np.exp(1j * rng.uniform(0, 2 * np.pi, n))
-            x2 = np.exp(1j * rng.uniform(0, 2 * np.pi, n))
-            y = awgn_mac_transmit([x1, x2], c, rng)
-            vals[seed] = energy(y) / n
+        cfg = small_cfg()
+        users = users_of(cfg, 2, np.random.default_rng(1))
+        record = TransmissionRecord(cfg, 1.0, users)
+        signal = record.user_frame(users[0]) + record.user_frame(users[1])
+        noise_power = 0.5
+        vals = np.array([
+            energy(frame(cfg, users, noise_power, seed)) / cfg.frame_len
+            for seed in range(2000)
+        ])
+        expected = energy(signal) / cfg.frame_len + noise_power
         se = vals.std(ddof=1) / math.sqrt(len(vals))
         assert abs(vals.mean() - expected) < 3 * se
 
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ChannelError):
-            awgn_mac_transmit([np.zeros(4, complex), np.zeros(5, complex)], cfg(),
-                              np.random.default_rng(0))
-
-    def test_power_violation_rejected(self):
-        x = 2.0 * np.ones(16, dtype=complex)   # per-sample power 4 > P=1
-        with pytest.raises(ChannelError):
-            awgn_mac_transmit([x], cfg(), np.random.default_rng(0))
-
     def test_determinism(self):
-        x = np.ones(32, dtype=complex)
-        y1 = awgn_mac_transmit([x], cfg(), np.random.default_rng(5))
-        y2 = awgn_mac_transmit([x], cfg(), np.random.default_rng(5))
-        assert np.array_equal(y1, y2)
+        cfg = small_cfg()
+        users = users_of(cfg, 3, np.random.default_rng(2))
+        assert np.array_equal(frame(cfg, users, 1.0, 5), frame(cfg, users, 1.0, 5))
 
     def test_noiseless_equals_exact_sum(self):
-        rng = np.random.default_rng(3)
-        xs = [complex_noise(50, 0.5, rng) for _ in range(3)]
-        y = awgn_mac_transmit(xs, cfg(noiseless=True), np.random.default_rng(0))
-        assert np.array_equal(y, xs[0] + xs[1] + xs[2])
+        cfg = small_cfg()
+        users = users_of(cfg, 3, np.random.default_rng(3))
+        record = TransmissionRecord(cfg, 1.0, users)
+        exact = sum(record.user_frame(u) for u in users)
+        assert np.array_equal(frame(cfg, users, 0.0, 0), exact)
 
 
 class TestFadingTransmit:
     def test_unit_gain_reduces_to_awgn(self):
-        x = 0.5 * np.ones(100, dtype=complex)
-        c_awgn = cfg()
-        c_fad = cfg(model=ChannelModel.RAYLEIGH)
-        y_ref = awgn_mac_transmit([x], c_awgn, np.random.default_rng(11))
-        y, gains = fading_mac_transmit(
-            [x], c_fad, np.random.default_rng(11), gains=np.array([1.0 + 0.0j])
-        )
-        assert np.array_equal(y, y_ref)
-        assert gains[0] == 1.0 + 0.0j
+        users = users_of(small_cfg(), 2, np.random.default_rng(4))
+        fading = small_cfg(ChannelModel.RAYLEIGH)
+        assert np.array_equal(frame(fading, users, 1.0, 11), frame(small_cfg(), users, 1.0, 11))
 
-    def test_gain_second_moment(self):
-        gains = sample_fading_gains(100_000, np.random.default_rng(1))
+    def test_gain_second_moment(self, monkeypatch):
+        records = []
+        skip_receiver(monkeypatch, records)
+        experiment = TwoStepExperiment(config=small_cfg(ChannelModel.RAYLEIGH, pilot_len=16))
+        rngs = [np.random.default_rng(seed) for seed in range(100)]
+        experiment.run_trials(100, 10.0, rngs)
+        gains = [u.gain for record in records for u in record.users]
         m = np.mean(np.abs(gains) ** 2)
         se = 1.0 / math.sqrt(len(gains))   # var(|H|^2) = 1 for CN(0,1)
+        assert len(gains) == 10_000
         assert abs(m - 1.0) < 3 * se
 
     def test_opposite_gains_cancel(self):
-        x = np.exp(1j * np.arange(64))
-        y, _ = fading_mac_transmit(
-            [x, x], cfg(model=ChannelModel.RAYLEIGH, noiseless=True),
-            np.random.default_rng(0), gains=np.array([1.0, -1.0], dtype=complex),
-        )
-        assert np.all(y == 0)
-
-    def test_awgn_model_rejected(self):
-        with pytest.raises(ChannelError):
-            fading_mac_transmit([np.zeros(4, complex)], cfg(), np.random.default_rng(0))
+        cfg = small_cfg(ChannelModel.RAYLEIGH)
+        twins = [
+            encode_user(cfg, 77, np.random.default_rng(0), gain=g, preamble_index=3)
+            for g in (1.0 + 0.0j, -1.0 + 0.0j)
+        ]
+        assert np.all(frame(cfg, twins, 0.0, 0) == 0)
 
     def test_gains_frame_constant_impulse_train(self):
-        # An impulse train exposes the per-sample scaling factor directly.
-        n = 90
-        x = np.zeros(n, dtype=complex)
-        x[::10] = 1.0
-        y, gains = fading_mac_transmit(
-            [x], cfg(model=ChannelModel.RAYLEIGH, noiseless=True), np.random.default_rng(9)
-        )
-        factors = y[::10]
-        assert np.allclose(factors, gains[0], rtol=0, atol=1e-15)
+        # Every sample the user occupies carries the same gain factor.
+        cfg = small_cfg(ChannelModel.RAYLEIGH, pilot_len=16)
+        (user,) = users_of(cfg, 1, np.random.default_rng(9), gains=[0.8 - 0.6j])
+        x = TransmissionRecord(cfg, 1.0, [user]).user_frame(user)
+        y = frame(cfg, [user], 0.0, 0)
+        occupied = x != 0
+        assert occupied.sum() == cfg.preamble_region_len + cfg.occasion_len
+        assert np.array_equal(y[occupied], user.gain * x[occupied])
+        assert np.all(y[~occupied] == 0)
 
 
-class TestCheckPower:
-    def test_all_zero(self):
-        assert check_power(np.zeros(10, complex), cfg())
+class TestTwoStepFrame:
+    @pytest.mark.parametrize("model", list(ChannelModel))
+    def test_frame_is_noise_plus_gain_times_user_frames(self, monkeypatch, model):
+        # Keep the noise `run_trials` draws and the frames it builds.
+        noises, frames, genies = [], [], []
 
-    def test_boundary_exact(self):
-        p = 0.7
-        x = math.sqrt(p) * np.exp(1j * np.linspace(0, 1, 25))
-        assert check_power(x, cfg(power=p))
+        def noise(n, variance, rng):
+            z = complex_noise(n, variance, rng)
+            noises.append(z.copy())
+            return z
 
-    def test_beyond_boundary(self):
-        p = 0.7
-        x = 1.01 * math.sqrt(p) * np.exp(1j * np.linspace(0, 1, 25))
-        assert energy(x) == pytest.approx(1.01**2 * 25 * p)
-        assert not check_power(x, cfg(power=p))
+        monkeypatch.setattr(montecarlo, "complex_noise", noise)
+        skip_receiver(monkeypatch, genies, frames)
+        cfg = small_cfg(model, pilot_len=16)
+        rngs = [np.random.default_rng(seed) for seed in range(6)]
+        TwoStepExperiment(config=cfg).run_trials(5, 10.0, rngs)
+        assert len(frames) == len(noises) == len(genies) == 6
+        for y, z, record in zip(frames, noises, genies):
+            expected = z
+            for u in record.users:
+                expected = expected + u.gain * record.user_frame(u)
+            assert np.array_equal(y, expected)
+            fading = any(u.gain != 1 for u in record.users)
+            assert fading == (model is ChannelModel.RAYLEIGH)
 
 
 class TestNoiseStatistics:
@@ -144,21 +178,28 @@ class TestNoiseStatistics:
 
 
 class TestEbn0:
+    """`cli.ebn0_db`: Eb/N0 = n P / (2 sigma^2 log2 M) with sigma^2 = 1."""
+
     def test_direct_arithmetic(self):
-        c = cfg(noise=1.0, power=1.0)
-        assert ebn0_db(30_000, c, 100) == pytest.approx(10 * math.log10(150), abs=1e-12)
+        config = load_preset("twostep_awgn_baseline")    # n = 16278, k = 100
+        assert ebn0_db(config, 0.0) == pytest.approx(
+            10 * math.log10(16278 / 200), abs=1e-12
+        )
 
     def test_doubling_power_adds_3db(self):
-        lo = ebn0_db(1000, cfg(power=1.0), 50)
-        hi = ebn0_db(1000, cfg(power=2.0), 50)
-        assert hi - lo == pytest.approx(10 * math.log10(2), abs=1e-12)
+        for name in ("twostep_awgn_baseline", "slotted_aloha_mini"):
+            config = load_preset(name)
+            lo = ebn0_db(config, 4.0)
+            hi = ebn0_db(config, 4.0 + 10 * math.log10(2))
+            assert hi - lo == pytest.approx(10 * math.log10(2), abs=1e-12)
 
     def test_independent_arithmetic_oracle(self):
-        # nP/(2 sigma^2 log2M) computed by hand for n=16278, 100 bits.
-        c = cfg(noise=0.25, power=0.5)
-        expected = 10 * math.log10((16278 * 0.5) / (2 * 0.25 * 100))
-        assert ebn0_db(16278, c, 100) == pytest.approx(expected, abs=1e-12)
+        # nP/(2 sigma^2 log2M) by hand: 1778 + 59 * 300 = 19478 uses, 100 bits,
+        # P = 10^0.5.  (The slotted-Aloha log2 L term: tests/test_codec.py.)
+        config = load_preset("sbidma_tuned")
+        expected = 10 * math.log10((19478 * 10**0.5) / (2 * 100))
+        assert ebn0_db(config, 5.0) == pytest.approx(expected, abs=1e-12)
 
     def test_nonpositive_payload(self):
-        with pytest.raises(ChannelError):
-            ebn0_db(100, cfg(), 0)
+        with pytest.raises(ConfigError, match="payload_bits"):
+            dataclasses.replace(load_preset("twostep_awgn_baseline"), payload_bits=0)

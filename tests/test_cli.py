@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 
@@ -112,6 +113,20 @@ class TestParseConfig:
         bad = FAST_CONFIG.replace("occasion_len: 8", "occasion_len: 9")
         with pytest.raises(ConfigError):
             parse_config(bad)
+
+    def test_rho_other_than_one_needs_sbidma(self):
+        # Only sbidma repeats packets; elsewhere rho 2 would be run as rho 1.
+        sbidma = load_preset("sbidma_rayleigh_1024")
+        assert sbidma.rho == 2
+        with pytest.raises(ConfigError, match="rho"):
+            dataclasses.replace(sbidma, scenario="twostep")
+        with pytest.raises(ConfigError, match="rho"):
+            parse_config(FAST_CONFIG.replace("rho: 1", "rho: 2"))
+
+    def test_slotted_aloha_on_rayleigh_rejected(self):
+        # The slotted-Aloha model has no fading: it would be run on AWGN.
+        with pytest.raises(ConfigError, match="channel"):
+            parse_config(FAST_CONFIG.replace("channel: awgn", "channel: rayleigh"))
 
     def test_round_trip(self):
         c = parse_config(FAST_CONFIG)

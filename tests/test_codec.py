@@ -1,9 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from umacsim import montecarlo
+from umacsim.bounds import min_snr_single_user
 from umacsim.channel import complex_noise
+from umacsim.cli import ebn0_db, load_preset
 from umacsim.codec import (
     CodecError,
     CodecModel,
@@ -14,11 +18,9 @@ from umacsim.codec import (
     decode_threshold,
     encode,
     hash_slot,
-    slotted_aloha_codebook_log2_size,
-    slotted_aloha_codebook_size,
-    slotted_aloha_encode,
 )
-from umacsim.bounds import min_snr_single_user
+from umacsim.montecarlo import SlottedAlohaExperiment
+from umacsim.protocols import slotted_aloha_receive
 
 ORACLE = CodecSpec(codeword_bits=500, payload_bits=100)
 ML8 = CodecSpec(codeword_bits=128, payload_bits=8, model=CodecModel.ML_RANDOM_GAUSSIAN)
@@ -128,42 +130,71 @@ class TestMlDecode:
 
 
 class TestSlottedAloha:
-    def test_single_slot_degenerate(self):
+    """The slotted-Aloha frame `SlottedAlohaExperiment.run_trial` builds, read
+    noise-free from the receiver's input."""
+
+    def frames(self, monkeypatch, cfg, ka, power_db, seeds):
+        seen = []
+
+        def receive(y, cfg, mode, genie, noise_power, power):
+            seen.append((y.copy(), list(genie), power))
+            return slotted_aloha_receive(y, cfg, mode, genie, noise_power, power=power)
+
+        monkeypatch.setattr(montecarlo, "slotted_aloha_receive", receive)
+        monkeypatch.setattr(
+            montecarlo, "complex_noise", lambda n, variance, rng: np.zeros(n, dtype=complex)
+        )
+        experiment = SlottedAlohaExperiment(config=cfg)
+        for seed in seeds:
+            experiment.run_trial(ka, power_db, np.random.default_rng(seed))
+        return seen
+
+    def test_single_slot_degenerate(self, monkeypatch):
         cfg = SlottedAlohaConfig(slots=1, codec=ML8)
-        frame, slot = slotted_aloha_encode(cfg, 5, np.random.default_rng(0))
-        assert slot == 0
-        assert np.array_equal(frame, encode(ML8, 5))
+        for y, genie, power in self.frames(monkeypatch, cfg, 1, 3.0, range(5)):
+            ((msg, slot),) = genie
+            assert slot == 0
+            assert np.array_equal(y, encode(ML8, msg, power=power))
 
-    def test_exactly_one_nonzero_block(self):
+    def test_exactly_one_nonzero_block(self, monkeypatch):
         cfg = SlottedAlohaConfig(slots=4, codec=ML8)
-        frame, slot = slotted_aloha_encode(cfg, 9, np.random.default_rng(1))
-        blocks = frame.reshape(4, cfg.slot_len)
-        for i in range(4):
-            if i == slot:
-                assert np.any(blocks[i] != 0)
-            else:
-                assert np.all(blocks[i] == 0)
+        for y, genie, _ in self.frames(monkeypatch, cfg, 1, 0.0, range(8)):
+            ((_, slot),) = genie
+            blocks = y.reshape(4, cfg.slot_len)
+            for i in range(4):
+                if i == slot:
+                    assert np.any(blocks[i] != 0)
+                else:
+                    assert np.all(blocks[i] == 0)
 
-    def test_payload_hash_deterministic(self):
+    def test_payload_hash_deterministic(self, monkeypatch):
         cfg = SlottedAlohaConfig(slots=64, codec=ML8, slot_selection=SlotSelection.PAYLOAD_HASH)
-        _, s1 = slotted_aloha_encode(cfg, 77, np.random.default_rng(0))
-        _, s2 = slotted_aloha_encode(cfg, 77, np.random.default_rng(123))
-        assert s1 == s2 == hash_slot(77, 8, 64)
+        slots = {}
+        for _, genie, _ in self.frames(monkeypatch, cfg, 10, 0.0, range(40)):
+            for msg, slot in genie:
+                assert slots.setdefault(msg, slot) == slot == hash_slot(msg, 8, 64)
+        assert len(slots) < 400     # messages recur across trials and rngs
 
     def test_codebook_size(self):
-        cfg = SlottedAlohaConfig(slots=64, codec=ML8)
-        assert slotted_aloha_codebook_size(cfg) == 16384
-        one = SlottedAlohaConfig(slots=1, codec=CodecSpec(codeword_bits=2, payload_bits=1))
-        assert slotted_aloha_codebook_size(one) == 2
+        # Eb/N0 counts log2 |codebook| = log2(L 2^k) bits: k alone for one slot.
+        mini = load_preset("slotted_aloha_mini")     # 64 slots of 64 uses, k = 8
+        one = dataclasses.replace(mini, n_occasions=1)
+        assert ebn0_db(one, 0.0) == pytest.approx(10 * math.log10(64 / (2 * 8)), abs=1e-12)
+        assert ebn0_db(mini, 0.0) == pytest.approx(
+            10 * math.log10(4096 / (2 * (8 + 6))), abs=1e-12
+        )
 
     def test_codebook_log2_k100(self):
-        cfg = SlottedAlohaConfig(slots=64, codec=ORACLE)
-        assert slotted_aloha_codebook_log2_size(cfg) == pytest.approx(106.0, abs=1e-12)
-        # The exact count is still available as a Python int.
-        assert slotted_aloha_codebook_size(cfg) == 64 * 2**100
+        # The codebook holds L 2^k words: Eb/N0 counts k + log2 L = 106 bits.
+        config = dataclasses.replace(
+            load_preset("slotted_aloha_mini"),
+            payload_bits=100, codeword_bits=500, occasion_len=250,
+        )
+        expected = 10 * math.log10(64 * 250 / (2 * 106.0))
+        assert ebn0_db(config, 0.0) == pytest.approx(expected, abs=1e-12)
 
-    def test_frame_power_constraint(self):
+    def test_frame_power_constraint(self, monkeypatch):
         cfg = SlottedAlohaConfig(slots=8, codec=ML8)
-        frame, _ = slotted_aloha_encode(cfg, 3, np.random.default_rng(2), power=0.9)
-        # Frame energy equals codeword energy <= n_frame * P.
-        assert float(np.sum(np.abs(frame) ** 2)) <= cfg.frame_len * 0.9 * (1 + 1e-9)
+        for y, _, power in self.frames(monkeypatch, cfg, 1, -0.5, range(5)):
+            # Frame energy equals codeword energy <= n_frame * P.
+            assert float(np.sum(np.abs(y) ** 2)) <= cfg.frame_len * power * (1 + 1e-9)

@@ -4,7 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from umacsim.channel import ChannelModel, check_power, ChannelConfig, complex_noise, energy
+from umacsim.channel import ChannelModel, complex_noise, energy
 from umacsim.codec import CodecModel, CodecSpec, SlottedAlohaConfig, decode_threshold
 from umacsim.montecarlo import SlottedAlohaExperiment, TwoStepExperiment, draw_message
 from umacsim.protocols import (
@@ -17,12 +17,11 @@ from umacsim.protocols import (
     TransmissionRecord,
     TwoStepConfig,
     _effective_sinr,
+    _SicFrame,
     encode_user,
     pattern_from_index,
     pattern_to_index,
-    sbidma_encode,
     slotted_aloha_receive,
-    twostep_encode,
     twostep_receive,
     twostep_receive_many,
 )
@@ -53,12 +52,16 @@ def fading_cfg(**over):
 
 def transmit(cfg, users, noise_power, rng):
     y = complex_noise(cfg.frame_len, noise_power, rng)
+    record = TransmissionRecord(cfg, 1.0, users)
     for u in users:
-        y[: cfg.preamble_region_len] += u.gain * u.preamble_signal
-        for occ in u.occasions:
-            off = cfg.occasion_offset(occ)
-            y[off : off + len(u.copy_signal)] += u.gain * u.copy_signal
+        record.add_user(y, u, u.gain)
     return y
+
+
+def encode_frame(cfg, message, rng, power=1.0):
+    """One user's full transmitted frame and its genie record."""
+    user = encode_user(cfg, message, rng, power=power)
+    return TransmissionRecord(cfg, power, [user]).user_frame(user), user
 
 
 class TestPatterns:
@@ -128,7 +131,7 @@ class TestConfigs:
 class TestEncode:
     def test_frame_sparsity(self):
         cfg = awgn_cfg()
-        frame, user = twostep_encode(cfg, 12345, np.random.default_rng(0))
+        frame, user = encode_frame(cfg, 12345, np.random.default_rng(0))
         assert len(frame) == 16278
         occupied = np.zeros(len(frame), dtype=bool)
         occupied[: cfg.preamble_region_len] = True
@@ -154,8 +157,8 @@ class TestEncode:
             preamble=PreambleSpec(size=8, base_length=31, repetitions=2),
             n_occasions=8, occasion_len=64, codec=ML8, repetitions=1,
         )
-        f1, u1 = twostep_encode(ts, 5, np.random.default_rng(9))
-        f2, u2 = sbidma_encode(sb, 5, np.random.default_rng(9))
+        f1, u1 = encode_frame(ts, 5, np.random.default_rng(9))
+        f2, u2 = encode_frame(sb, 5, np.random.default_rng(9))
         assert np.array_equal(f1, f2)
         assert (u1.preamble_index, u1.occasions, u1.pilot_index) == (
             u2.preamble_index, u2.occasions, u2.pilot_index
@@ -168,7 +171,7 @@ class TestEncode:
             channel_model=ChannelModel.RAYLEIGH, mapping=Mapping.MANY_TO_ONE,
             repetitions=2,
         )
-        frame, user = sbidma_encode(cfg, 77, np.random.default_rng(1))
+        frame, user = encode_frame(cfg, 77, np.random.default_rng(1))
         assert len(user.occasions) == 2
         blocks = [
             frame[cfg.occasion_offset(o) : cfg.occasion_offset(o) + 300]
@@ -197,12 +200,10 @@ class TestEncode:
             repetitions=2,
         ))
         power = 0.8
-        chan = ChannelConfig(noise_power=1.0, power_limit=power)
         for cfg in configs:
             for seed in range(5):
-                user = encode_user(cfg, seed + 1, np.random.default_rng(seed), power=power)
-                frame = TransmissionRecord(cfg, power, [user]).user_frame(user)
-                assert check_power(frame, chan)
+                frame, _ = encode_frame(cfg, seed + 1, np.random.default_rng(seed), power=power)
+                assert energy(frame) <= len(frame) * power * (1 + 1e-9)
 
 
 class TestTwoStepReceive:
@@ -284,6 +285,21 @@ class TestTwoStepReceive:
                 TransmissionRecord(cfg, power, list(reversed(users))), 1.0,
             )
             assert fwd.decoded_messages == rev.decoded_messages
+
+    def test_sic_cancel_leaves_the_other_users(self):
+        cfg = fading_cfg(
+            preamble=PreambleSpec(size=1024, base_length=139, repetitions=2),
+            mapping=Mapping.MANY_TO_ONE,
+        )
+        rng = np.random.default_rng(8)
+        users = [
+            encode_user(cfg, draw_message(rng, 100), rng, power=4.0, gain=g)
+            for g in (0.9 + 0.4j, -0.3 + 1.1j, 0.5 - 0.7j)
+        ]
+        frame = _SicFrame(transmit(cfg, users, 0.0, rng), TransmissionRecord(cfg, 4.0, users))
+        frame.cancel(users[:2])
+        rest = transmit(cfg, users[2:], 0.0, rng)
+        assert np.allclose(frame.y, rest, rtol=0, atol=1e-12)
 
 
 class TestTwoStepReceiveMany:
