@@ -9,6 +9,7 @@ import math
 from dataclasses import dataclass
 
 from scipy.optimize import brentq
+from scipy.special import ndtri
 
 LOG2E = math.log2(math.e)
 
@@ -61,13 +62,6 @@ def aloha_collision_probability(ka: int, slots: int) -> float:
     return 1.0 - (1.0 - 1.0 / slots) ** (ka - 1)
 
 
-def aloha_collision_upper_bound(ka: int, slots: int) -> float:
-    """The simple bound (Ka - 1) / L dominating the collision probability."""
-    if ka < 1 or slots < 1:
-        raise ValueError("need ka >= 1 and slots >= 1")
-    return (ka - 1) / slots
-
-
 def awgn_capacity(snr: float) -> float:
     """C = log2(1 + snr), bits per complex channel use."""
     if snr <= 0:
@@ -83,44 +77,10 @@ def awgn_dispersion(snr: float) -> float:
 
 
 def q_inv(epsilon: float) -> float:
-    """Upper quantile of the standard normal: Q(q_inv(eps)) = eps.
-
-    Acklam's rational approximation for the inverse CDF, polished with two
-    Newton steps through erfc so the result is accurate to ~1e-12.
-    """
+    """Upper quantile of the standard normal: Q(q_inv(eps)) = eps."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0,1), got {epsilon}")
-    p = 1.0 - epsilon   # lower-quantile argument
-    # Acklam coefficients.
-    a = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-         1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-    b = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-         6.680131188771972e+01, -1.328068155288572e+01)
-    c = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-         -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-    d = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-         3.754408661907416e+00)
-    p_low = 0.02425
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = ((((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5])
-             / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0))
-    elif p <= 1.0 - p_low:
-        q = p - 0.5
-        r = q * q
-        x = ((((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q
-             / (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0))
-    else:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        x = -((((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5])
-              / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0))
-    # Newton polish: Q(x) = erfc(x / sqrt(2)) / 2, Q'(x) = -phi(x).
-    for _ in range(2):
-        err = 0.5 * math.erfc(x / math.sqrt(2.0)) - epsilon
-        pdf = math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-        if pdf > 0:
-            x += err / pdf
-    return x
+    return float(-ndtri(epsilon))
 
 
 def normal_approx_log_m(query: BoundQuery) -> float:

@@ -30,14 +30,7 @@ from .montecarlo import (
     TwoStepExperiment,
     run_sweep,
 )
-from .protocols import (
-    EnergyPolicy,
-    Mapping,
-    PreambleSpec,
-    ReceiverMode,
-    SbidmaConfig,
-    TwoStepConfig,
-)
+from .protocols import EnergyPolicy, PreambleSpec, ReceiverMode, TwoStepConfig
 from .sequences import DictionaryKind
 
 CSV_HEADER = "scenario,channel,ka,min_snr_db,pupe,ci_low,ci_high,trials,seed,notes"
@@ -55,8 +48,9 @@ class ExperimentConfig:
 
     For `slotted_aloha`, n_occasions is the slot count, the channel must be
     awgn, and the preamble, pilot and energy-policy keys are ignored (but
-    must be present so every config names its full environment); `twostep`
-    ignores energy_policy.  rho must be 1 unless the scenario is `sbidma`.
+    must be present so every config names its full environment).  rho must
+    be 1 unless the scenario is `sbidma`; energy_policy has no effect at
+    rho = 1.
     """
 
     scenario: str
@@ -115,6 +109,8 @@ class ExperimentConfig:
             raise ConfigError(
                 f"snr_lo_db/snr_hi_db: need lo < hi, got {self.snr_lo_db} >= {self.snr_hi_db}"
             )
+        if not self.tol_db > 0.0:
+            raise ConfigError(f"tol_db: must be positive, got {self.tol_db}")
         if not self.trials_schedule or any(t < 1 for t in self.trials_schedule):
             raise ConfigError("trials_schedule: needs at least one positive entry")
         if any(k < 1 for k in self.ka_list):
@@ -215,21 +211,14 @@ def serialize_config(config: ExperimentConfig) -> str:
     return yaml.safe_dump(data, sort_keys=True)
 
 
-def _codec_spec(config: ExperimentConfig) -> CodecSpec:
-    # The codec operating point (5% codeword error) is a property of the
-    # surrogate code, independent of the sweep's target PUPE.
-    return CodecSpec(
+def build_experiment(config: ExperimentConfig):
+    """Instantiate the runnable experiment described by the config."""
+    codec = CodecSpec(
         codeword_bits=config.codeword_bits,
         payload_bits=config.payload_bits,
         model=CodecModel(config.codec_model),
         offset_db=config.codec_offset_db,
-        target_eps=0.05,
     )
-
-
-def build_experiment(config: ExperimentConfig):
-    """Instantiate the runnable experiment described by the config."""
-    codec = _codec_spec(config)
     receiver = ReceiverMode(config.receiver_mode)
     if config.scenario == "slotted_aloha":
         sa = SlottedAlohaConfig(
@@ -250,29 +239,17 @@ def build_experiment(config: ExperimentConfig):
         kind=DictionaryKind(config.preamble_kind),
         power_scale=config.preamble_power_scale,
     )
-    mapping = (
-        Mapping.ONE_TO_ONE
-        if config.n_preambles == config.n_occasions
-        else Mapping.MANY_TO_ONE
-    )
-    common = dict(
-        preamble=preamble,
-        n_occasions=config.n_occasions,
-        occasion_len=config.occasion_len,
-        codec=codec,
-        pilot_len=config.pilot_len,
-        mapping=mapping,
-        channel_model=ChannelModel(config.channel),
-    )
     try:
-        if config.scenario == "sbidma":
-            proto = SbidmaConfig(
-                repetitions=config.rho,
-                energy_policy=EnergyPolicy(config.energy_policy),
-                **common,
-            )
-        else:
-            proto = TwoStepConfig(**common)
+        proto = TwoStepConfig(
+            preamble=preamble,
+            n_occasions=config.n_occasions,
+            occasion_len=config.occasion_len,
+            codec=codec,
+            pilot_len=config.pilot_len,
+            channel_model=ChannelModel(config.channel),
+            rho=config.rho,
+            energy_policy=EnergyPolicy(config.energy_policy),
+        )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return TwoStepExperiment(config=proto, receiver=receiver)
@@ -362,7 +339,7 @@ def run(
                 for item in ckpt.get("points", []):
                     point = PupeCurvePoint(**item)
                     done[point.ka] = point
-        except (json.JSONDecodeError, TypeError):
+        except (ValueError, TypeError):     # not UTF-8, not JSON, bad fields
             pass
 
     def checkpoint(point: PupeCurvePoint) -> None:

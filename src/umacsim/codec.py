@@ -6,10 +6,10 @@ Two codec models replace the standard LDPC / polar codecs:
 - ``ORACLE_THRESHOLD``: a genie-aided success model.  The codeword is a
   message-seeded pseudo-random unit-power QPSK sequence; decoding succeeds
   iff the genie-computed SINR clears the single-user finite-blocklength
-  operating point plus a configurable dB offset (default 1.6 dB, mimicking
-  the measured loss of the short LDPC code; 0.9 dB is the conventional knob
-  for polar-like behavior).  Results obtained with this model are surrogate
-  curves, not standard-exact ones.
+  operating point at codeword error rate ``TARGET_EPS`` plus a configurable
+  dB offset (default 1.6 dB, mimicking the measured loss of the short LDPC
+  code; 0.9 dB is the conventional knob for polar-like behavior).  Results
+  obtained with this model are surrogate curves, not standard-exact ones.
 - ``ML_RANDOM_GAUSSIAN``: an exact maximum-likelihood codec over a small
   seed-fixed Gaussian codebook (payloads up to 12 bits), used for
   end-to-end validation at reduced scale.
@@ -41,13 +41,18 @@ class CodecError(ValueError):
     pass
 
 
+# Per-codeword error rate that pins the oracle threshold.  The codec
+# operating point is a property of the surrogate code, independent of a
+# sweep's target PUPE.
+TARGET_EPS = 0.05
+
+
 @dataclass(frozen=True)
 class CodecSpec:
     codeword_bits: int        # n_c: binary codeword length; QPSK -> n_c/2 complex uses
     payload_bits: int         # k
     model: CodecModel = CodecModel.ORACLE_THRESHOLD
     offset_db: float = 1.6    # surrogate loss over the normal approximation
-    target_eps: float = 0.05  # per-codeword error rate pinning the threshold
     codebook_seed: int = 0
 
     def __post_init__(self):
@@ -57,8 +62,6 @@ class CodecSpec:
             raise CodecError(f"payload_bits must be >= 1, got {self.payload_bits}")
         if self.model is CodecModel.ML_RANDOM_GAUSSIAN and self.payload_bits > 12:
             raise CodecError("ML_RANDOM_GAUSSIAN supports payloads up to 12 bits")
-        if not 0.0 < self.target_eps < 1.0:
-            raise CodecError(f"target_eps must be in (0,1), got {self.target_eps}")
 
     @property
     def complex_uses(self) -> int:
@@ -98,7 +101,7 @@ def _check_message(spec: CodecSpec, message: int) -> None:
 @lru_cache(maxsize=64)
 def decode_threshold(spec: CodecSpec) -> float:
     """SINR (linear) above which the oracle codec succeeds."""
-    base = min_snr_single_user(spec.complex_uses, spec.payload_bits, spec.target_eps)
+    base = min_snr_single_user(spec.complex_uses, spec.payload_bits, TARGET_EPS)
     return base * 10.0 ** (spec.offset_db / 10.0)
 
 
@@ -143,7 +146,6 @@ def decode(
     genie_sinr: float | None = None,
     true_message: int | None = None,
     gain: complex = 1.0,
-    power: float = 1.0,
 ) -> tuple[bool, int | None]:
     """Attempt decoding; failure is a valid outcome, never an exception.
 
@@ -160,7 +162,7 @@ def decode(
         return False, None
     if observed is None:
         raise CodecError("ML decoding needs the observed signal")
-    book = _ml_codebook_unit(spec) * (gain * math.sqrt(power))
+    book = _ml_codebook_unit(spec) * gain
     dist = np.linalg.norm(observed[:, None] - book, axis=0)
     return True, int(np.argmin(dist))
 

@@ -166,11 +166,11 @@ class _CholeskyOmp:
         )
 
 
-def energy_detect(y_segment: np.ndarray, threshold_factor: float, noise_power: float) -> bool:
-    """True iff the per-sample energy exceeds threshold_factor * noise_power."""
+def energy_detect(y_segment: np.ndarray, noise_power: float) -> bool:
+    """True iff the per-sample energy exceeds the noise power."""
     if len(y_segment) == 0:
         raise DetectionError("cannot energy-detect an empty segment")
-    return energy(y_segment) / len(y_segment) > threshold_factor * noise_power
+    return energy(y_segment) / len(y_segment) > noise_power
 
 
 def ls_channel_estimate(y_segment: np.ndarray, pilot: np.ndarray) -> complex:

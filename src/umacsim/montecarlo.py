@@ -308,6 +308,8 @@ def min_snr_for_pupe(
         raise MonteCarloError(f"need snr_lo < snr_hi, got {snr_lo} >= {snr_hi}")
     if not trials_schedule:
         raise MonteCarloError("trials_schedule must be non-empty")
+    if not tol_db > 0.0:
+        raise MonteCarloError(f"tol_db must be positive, got {tol_db}")
     probes = itertools.count()
     notes: list[str] = []
 

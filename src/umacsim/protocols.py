@@ -1,5 +1,6 @@
-"""End-to-end encoders and receivers: slotted Aloha, two-step random access
-(message A), and the SB-IDMA repetition variant.
+"""End-to-end encoders and receivers: slotted Aloha and two-step random
+access (message A).  SB-IDMA is two-step access with packet repetition: a
+`TwoStepConfig` with rho > 1.
 
 Receiver conventions
 --------------------
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 
@@ -53,11 +54,6 @@ class ReceiverMode(str, Enum):
     TIN_SIC = "tin_sic"
 
 
-class Mapping(str, Enum):
-    ONE_TO_ONE = "one_to_one"
-    MANY_TO_ONE = "many_to_one"
-
-
 class EnergyPolicy(str, Enum):
     SPLIT_ACROSS_COPIES = "split_across_copies"
     PER_COPY_FULL = "per_copy_full"
@@ -70,7 +66,6 @@ class PreambleSpec:
     repetitions: int = 1
     kind: DictionaryKind = DictionaryKind.ZADOFF_CHU
     power_scale: float = 1.0
-    seed: int = 0
 
     @property
     def length(self) -> int:
@@ -79,35 +74,39 @@ class PreambleSpec:
 
 @dataclass(frozen=True)
 class TwoStepConfig:
+    """Two-step random access; rho > 1 is SB-IDMA, which sends each packet
+    rho times, with `energy_policy` setting the power of each copy."""
+
     preamble: PreambleSpec
     n_occasions: int
     occasion_len: int
     codec: CodecSpec
     pilot_len: int = 0
-    mapping: Mapping = Mapping.ONE_TO_ONE
     channel_model: ChannelModel = ChannelModel.AWGN
-    pilot_seed: int = 1
+    rho: int = 1                         # copies of the packet per frame
+    energy_policy: EnergyPolicy = EnergyPolicy.SPLIT_ACROSS_COPIES
 
     def __post_init__(self):
         if self.n_occasions < 1:
             raise ProtocolError(f"n_occasions must be >= 1, got {self.n_occasions}")
+        if not 1 <= self.rho <= self.n_occasions:
+            raise ProtocolError(f"rho must be in [1, {self.n_occasions}], got {self.rho}")
+        # The ML codec decodes a single occasion's samples, so it cannot
+        # combine copies; only the oracle codec models the rho-copy MRC.
+        if self.rho > 1 and self.codec.model is CodecModel.ML_RANDOM_GAUSSIAN:
+            raise ProtocolError(
+                f"the ML codec decodes one copy only and needs rho = 1, got {self.rho}"
+            )
         if self.occasion_len != self.pilot_len + self.codec.complex_uses:
             raise ProtocolError(
                 f"occasion_len {self.occasion_len} != pilot_len {self.pilot_len} "
                 f"+ codeword uses {self.codec.complex_uses}"
             )
-        if self.rho == 1:
-            if self.mapping is Mapping.ONE_TO_ONE and self.preamble.size != self.n_occasions:
-                raise ProtocolError(
-                    "one-to-one mapping needs n_preambles == n_occasions "
-                    f"({self.preamble.size} != {self.n_occasions})"
-                )
-            if self.mapping is Mapping.MANY_TO_ONE and self.preamble.size < self.n_occasions:
-                raise ProtocolError("many-to-one mapping needs n_preambles >= n_occasions")
-
-    @property
-    def rho(self) -> int:
-        return 1
+        if self.rho == 1 and self.preamble.size < self.n_occasions:
+            raise ProtocolError(
+                "rho = 1 needs n_preambles >= n_occasions "
+                f"({self.preamble.size} < {self.n_occasions})"
+            )
 
     @property
     def preamble_region_len(self) -> int:
@@ -122,57 +121,21 @@ class TwoStepConfig:
 
     @property
     def n_pilots(self) -> int:
-        return max(1, -(-self.preamble.size // self.n_occasions))
+        if self.rho > 1:
+            return self.preamble.size
+        return -(-self.preamble.size // self.n_occasions)
 
     def map_preamble(self, preamble_index: int) -> tuple[tuple[int, ...], int]:
-        """Preamble index -> (occasions, pilot index)."""
-        occ = preamble_index % self.n_occasions
-        pilot = preamble_index // self.n_occasions
-        return (occ,), pilot
+        """Preamble index -> (occasions, pilot index).
 
-
-@dataclass(frozen=True)
-class SbidmaConfig(TwoStepConfig):
-    repetitions: int = 1                 # rho: copies of the packet per frame
-    energy_policy: EnergyPolicy = EnergyPolicy.SPLIT_ACROSS_COPIES
-
-    def __post_init__(self):
-        if not 1 <= self.repetitions <= self.n_occasions:
-            raise ProtocolError(
-                f"rho must be in [1, {self.n_occasions}], got {self.repetitions}"
-            )
-        # The ML codec decodes a single occasion's samples, so it cannot
-        # combine copies; only the oracle codec models the rho-copy MRC.
-        if self.repetitions > 1 and self.codec.model is CodecModel.ML_RANDOM_GAUSSIAN:
-            raise ProtocolError(
-                f"the ML codec decodes one copy only and needs rho = 1, got {self.repetitions}"
-            )
-        super().__post_init__()
-
-    @property
-    def rho(self) -> int:
-        return self.repetitions
-
-    @property
-    def pattern_space_size(self) -> int:
-        return math.comb(self.n_occasions, self.rho)
-
-    @property
-    def n_pilots(self) -> int:
-        if self.rho == 1:
-            return super().n_pilots
-        return self.preamble.size
-
-    def map_preamble(self, preamble_index: int) -> tuple[tuple[int, ...], int]:
-        """rho = 1 reduces to the two-step map; otherwise the preamble index
-        selects a rho-subset pattern (colex unranking) and a per-preamble
-        pilot, so distinct preambles never share a pilot sequence."""
-        if self.rho == 1:
-            return super().map_preamble(preamble_index)
-        pattern = pattern_from_index(
-            preamble_index % self.pattern_space_size, self.n_occasions, self.rho
-        )
-        return pattern, preamble_index
+        rho = 1: occasion = index % n_occasions, pilot = index // n_occasions.
+        rho > 1: the rho-subset of colex rank index % C(n_occasions, rho),
+        and pilot = index, so distinct preambles never share a pilot.
+        """
+        if self.rho > 1:
+            index = preamble_index % math.comb(self.n_occasions, self.rho)
+            return pattern_from_index(index, self.n_occasions, self.rho), preamble_index
+        return (preamble_index % self.n_occasions,), preamble_index // self.n_occasions
 
 
 def pattern_from_index(index: int, n: int, rho: int) -> tuple[int, ...]:
@@ -191,21 +154,15 @@ def pattern_from_index(index: int, n: int, rho: int) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-def pattern_to_index(pattern: tuple[int, ...], n: int, rho: int) -> int:
-    """Inverse of pattern_from_index."""
-    if len(set(pattern)) != rho or any(not 0 <= c < n for c in pattern):
-        raise ProtocolError(f"{pattern} is not a {rho}-subset of range({n})")
-    return sum(math.comb(c, r) for r, c in enumerate(sorted(pattern), start=1))
-
-
 # ---------------------------------------------------------------------------
 # dictionaries
 
 
 @lru_cache(maxsize=16)
 def build_dictionaries(cfg: TwoStepConfig) -> tuple[Dictionary, Dictionary | None]:
-    """Unit-sample-power preamble and pilot dictionaries for a config."""
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.preamble.seed))
+    """Unit-sample-power preamble and pilot dictionaries for a config, drawn
+    from the fixed seeds 0 (preambles) and 1 (pilots)."""
+    rng = np.random.default_rng(np.random.SeedSequence(0))
     pre = build_preamble_dictionary(
         size=cfg.preamble.size,
         base_length=cfg.preamble.base_length,
@@ -213,12 +170,11 @@ def build_dictionaries(cfg: TwoStepConfig) -> tuple[Dictionary, Dictionary | Non
         power_scale=cfg.preamble.power_scale,
         kind=cfg.preamble.kind,
         rng=rng,
-        sample_power=1.0,
     )
     pilots = None
     if cfg.pilot_len > 0:
-        prng = np.random.default_rng(np.random.SeedSequence(cfg.pilot_seed))
-        pilots = build_pilot_dictionary(cfg.n_pilots, cfg.pilot_len, prng, sample_power=1.0)
+        prng = np.random.default_rng(np.random.SeedSequence(1))
+        pilots = build_pilot_dictionary(cfg.n_pilots, cfg.pilot_len, prng)
     return pre, pilots
 
 
@@ -507,7 +463,7 @@ def _ml_attempt(
         gain = ls_channel_estimate(y[poff : poff + cfg.pilot_len], user.copy_signal[: cfg.pilot_len])
     else:
         gain = 1.0
-    return decode(cfg.codec, observed=seg, gain=gain * math.sqrt(power), power=1.0)
+    return decode(cfg.codec, observed=seg, gain=gain * math.sqrt(power))
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +508,7 @@ def slotted_aloha_receive(
             slot_iter = range(cfg.slots)
         for slot in slot_iter:
             seg = y_work[slot * slot_len : (slot + 1) * slot_len]
-            if not energy_detect(seg, 1.0, noise_power):
+            if not energy_detect(seg, noise_power):
                 continue
             occ = [t for t in occupants.get(slot, []) if t not in cancelled]
             if cfg.codec.model is CodecModel.ORACLE_THRESHOLD:
@@ -564,7 +520,7 @@ def slotted_aloha_receive(
                 sinr = power / noise_power if noise_power > 0 else math.inf
                 ok, out = decode(cfg.codec, genie_sinr=sinr, true_message=msg)
             else:
-                ok, out = decode(cfg.codec, observed=seg, gain=math.sqrt(power), power=1.0)
+                ok, out = decode(cfg.codec, observed=seg, gain=math.sqrt(power))
             if ok and out is not None and out not in decoded:
                 decoded.add(out)
                 hit = next((t for t in occ if t[0] == out), None)

@@ -1,10 +1,13 @@
 """Preamble and pilot dictionaries: Zadoff-Chu families for standard-sized
 sets, normalized complex Gaussian columns for enlarged sets.
+
+Columns have per-sample power `power_scale` (preambles) or 1 (pilots); a
+user's transmit power scales its column at encoding time.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -29,19 +32,9 @@ class Dictionary:
     """
 
     columns: np.ndarray
-    kind: DictionaryKind
-    per_column_energy: float
 
     def __post_init__(self):
         self.columns.setflags(write=False)
-
-    @property
-    def length(self) -> int:
-        return self.columns.shape[0]
-
-    @property
-    def size(self) -> int:
-        return self.columns.shape[1]
 
     def column(self, index: int) -> np.ndarray:
         return self.columns[:, index]
@@ -115,7 +108,6 @@ def build_preamble_dictionary(
     power_scale: float = 1.0,
     kind: DictionaryKind = DictionaryKind.ZADOFF_CHU,
     rng: np.random.Generator | None = None,
-    sample_power: float = 1.0,
 ) -> Dictionary:
     """Preamble dictionary with columns of length base_length * repetitions.
 
@@ -123,14 +115,14 @@ def build_preamble_dictionary(
     (index -> shift = index // (N-1), root = 1 + index % (N-1)), giving a
     deterministic index-to-sequence map; each base sequence is repeated
     `repetitions` times.  Gaussian columns are i.i.d. CN, normalized.
-    Column energy is base_length * repetitions * power_scale * sample_power.
+    Column energy is base_length * repetitions * power_scale.
     """
     if size < 1:
         raise SequenceError(f"size must be >= 1, got {size}")
     if repetitions < 1:
         raise SequenceError(f"repetitions must be >= 1, got {repetitions}")
     length = base_length * repetitions
-    target = length * power_scale * sample_power
+    target = length * power_scale
     if kind is DictionaryKind.ZADOFF_CHU:
         max_size = (base_length - 1) * base_length   # roots x cyclic shifts
         if size > max_size:
@@ -149,20 +141,17 @@ def build_preamble_dictionary(
         if rng is None:
             raise SequenceError("Gaussian dictionaries need an rng")
         cols = _gaussian_columns(size, length, target, rng)
-    return Dictionary(columns=cols, kind=kind, per_column_energy=target)
+    return Dictionary(columns=cols)
 
 
 def build_pilot_dictionary(
     size: int,
     length: int,
     rng: np.random.Generator,
-    sample_power: float = 1.0,
 ) -> Dictionary:
-    """Gaussian pilot dictionary, per-column energy = length * sample_power."""
+    """Gaussian pilot dictionary, per-column energy = length."""
     if size < 1:
         raise SequenceError(f"size must be >= 1, got {size}")
     if length < 1:
         raise SequenceError(f"length must be >= 1, got {length}")
-    target = length * sample_power
-    cols = _gaussian_columns(size, length, target, rng)
-    return Dictionary(columns=cols, kind=DictionaryKind.GAUSSIAN, per_column_energy=target)
+    return Dictionary(columns=_gaussian_columns(size, length, length, rng))

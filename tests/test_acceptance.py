@@ -28,10 +28,8 @@ from umacsim.montecarlo import (
 )
 from umacsim.protocols import (
     EnergyPolicy,
-    Mapping,
     PreambleSpec,
     ReceiverMode,
-    SbidmaConfig,
     TransmissionRecord,
     TwoStepConfig,
     encode_user,
@@ -69,12 +67,9 @@ def awgn_baseline_cfg():
 
 def rayleigh_cfg(n_preambles, rho=1, energy_policy=EnergyPolicy.PER_COPY_FULL):
     pre = PreambleSpec(size=n_preambles, base_length=139, repetitions=2)
-    mapping = Mapping.ONE_TO_ONE if n_preambles == 64 else Mapping.MANY_TO_ONE
-    kw = dict(preamble=pre, n_occasions=64, occasion_len=300, codec=ORACLE,
-              pilot_len=50, mapping=mapping, channel_model=ChannelModel.RAYLEIGH)
-    if rho == 1:
-        return TwoStepConfig(**kw)
-    return SbidmaConfig(repetitions=rho, energy_policy=energy_policy, **kw)
+    return TwoStepConfig(preamble=pre, n_occasions=64, occasion_len=300, codec=ORACLE,
+                         pilot_len=50, channel_model=ChannelModel.RAYLEIGH,
+                         rho=rho, energy_policy=energy_policy)
 
 
 def test_criterion_1_collision_formula(announce):

@@ -8,7 +8,6 @@ from umacsim.bounds import (
     BoundQuery,
     CurveError,
     aloha_collision_probability,
-    aloha_collision_upper_bound,
     awgn_capacity,
     awgn_dispersion,
     load_reference_curve,
@@ -32,15 +31,6 @@ class TestAlohaCollision:
             1 - (63 / 64) ** 49, rel=1e-12
         )
         assert aloha_collision_probability(50, 64) == pytest.approx(0.5378, abs=5e-4)
-
-    def test_upper_bound_property(self):
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            ka = int(rng.integers(1, 500))
-            slots = int(rng.integers(1, 500))
-            assert aloha_collision_probability(ka, slots) <= (
-                aloha_collision_upper_bound(ka, slots) + 1e-15
-            )
 
 
 class TestCapacityDispersion:

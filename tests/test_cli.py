@@ -123,6 +123,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="rho"):
             parse_config(FAST_CONFIG.replace("rho: 1", "rho: 2"))
 
+    @pytest.mark.parametrize("tol", ["0", "-1"])
+    def test_non_positive_tol_db_rejected(self, tol):
+        # tol_db 0 bisects to float resolution and a negative one never stops.
+        with pytest.raises(ConfigError, match="tol_db"):
+            parse_config(FAST_CONFIG.replace("tol_db: 0.5", f"tol_db: {tol}"))
+
     def test_slotted_aloha_on_rayleigh_rejected(self):
         # The slotted-Aloha model has no fading: it would be run on AWGN.
         with pytest.raises(ConfigError, match="channel"):
@@ -199,6 +205,16 @@ class TestRun:
         c = parse_config(FAST_CONFIG)
         out = tmp_path / "res.csv"
         (tmp_path / "res.csv.ckpt.json").write_text(json.dumps(payload))
+        assert run(c, str(out), stream=io.StringIO()) == 0
+        assert out.read_text().splitlines()[0] == CSV_HEADER
+
+    @pytest.mark.parametrize(
+        "raw", [b"\xff\xfe\x00garbage", b'{"digest": '], ids=["not_utf8", "truncated"]
+    )
+    def test_unreadable_checkpoint_ignored(self, tmp_path, raw):
+        c = parse_config(FAST_CONFIG)
+        out = tmp_path / "res.csv"
+        (tmp_path / "res.csv.ckpt.json").write_bytes(raw)
         assert run(c, str(out), stream=io.StringIO()) == 0
         assert out.read_text().splitlines()[0] == CSV_HEADER
 

@@ -237,7 +237,7 @@ class TestEnergyDetect:
     def test_pure_noise_rarely_triggers_at_factor_3(self):
         rng = np.random.default_rng(0)
         hits = sum(
-            energy_detect(complex_noise(250, 1.0, rng), 3.0, 1.0) for _ in range(2000)
+            energy_detect(complex_noise(250, 1.0, rng), 3.0) for _ in range(2000)
         )
         assert hits / 2000 <= 0.01
 
@@ -247,12 +247,12 @@ class TestEnergyDetect:
         hits = 0
         for _ in range(2000):
             y = math.sqrt(snr) * np.ones(250) + complex_noise(250, 1.0, rng)
-            hits += energy_detect(y, 3.0, 1.0)
+            hits += energy_detect(y, 3.0)
         assert hits / 2000 >= 0.999
 
     def test_zero_length_guard(self):
         with pytest.raises(DetectionError):
-            energy_detect(np.zeros(0, complex), 1.0, 1.0)
+            energy_detect(np.zeros(0, complex), 1.0)
 
 
 class TestLsEstimate:

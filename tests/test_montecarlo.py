@@ -19,10 +19,8 @@ from umacsim.montecarlo import (
     wilson_interval,
 )
 from umacsim.protocols import (
-    Mapping,
     PreambleSpec,
     ReceiverMode,
-    SbidmaConfig,
     TwoStepConfig,
     slotted_aloha_receive,
 )
@@ -112,12 +110,11 @@ class TestEstimatePupe:
     def test_batching_does_not_change_counts(self, monkeypatch):
         # Serial runs batch the 37 trials as 16+16+5, two workers as
         # 16+3 and 16+2, and run_trial as 37 batches of one.
-        cfg = SbidmaConfig(
+        cfg = TwoStepConfig(
             preamble=PreambleSpec(size=96, base_length=48, kind=DictionaryKind.GAUSSIAN),
             n_occasions=12, occasion_len=120,
             codec=CodecSpec(codeword_bits=200, payload_bits=100), pilot_len=20,
-            channel_model=ChannelModel.RAYLEIGH, mapping=Mapping.MANY_TO_ONE,
-            repetitions=2,
+            channel_model=ChannelModel.RAYLEIGH, rho=2,
         )
         exp = TwoStepExperiment(config=cfg, receiver=ReceiverMode.TIN_SIC)
         ka, snr_db, trials, seed = 8, 10.0, 37, 3
@@ -182,6 +179,15 @@ class TestMinSnrSearch:
     def test_invalid_bracket(self):
         with pytest.raises(MonteCarloError):
             min_snr_for_pupe(baseline_experiment(), 1, 0.05, 5.0, 5.0, seed=1)
+
+    @pytest.mark.parametrize("tol_db", [0.0, -1.0])
+    def test_non_positive_tolerance_rejected_before_any_probe(self, tol_db):
+        class NoTrials:
+            def run_trials(self, ka, snr_db, rngs):
+                raise AssertionError("probe run")
+
+        with pytest.raises(MonteCarloError, match="tol_db"):
+            min_snr_for_pupe(NoTrials(), 1, 0.05, -5.0, 50.0, seed=1, tol_db=tol_db)
 
 
 class TestRunSweep:

@@ -9,18 +9,15 @@ from umacsim.codec import CodecModel, CodecSpec, SlottedAlohaConfig, decode_thre
 from umacsim.montecarlo import SlottedAlohaExperiment, TwoStepExperiment, draw_message
 from umacsim.protocols import (
     EnergyPolicy,
-    Mapping,
     PreambleSpec,
     ProtocolError,
     ReceiverMode,
-    SbidmaConfig,
     TransmissionRecord,
     TwoStepConfig,
     _effective_sinr,
     _SicFrame,
     encode_user,
     pattern_from_index,
-    pattern_to_index,
     slotted_aloha_receive,
     twostep_receive,
     twostep_receive_many,
@@ -73,10 +70,10 @@ class TestPatterns:
         assert len(patterns) == 2016
         assert patterns == set(combinations(range(64), 2))
 
-    def test_rank_unrank_round_trip(self):
-        total = math.comb(10, 3)
-        for i in range(total):
-            assert pattern_to_index(pattern_from_index(i, 10, 3), 10, 3) == i
+    def test_unranking_is_colex_order(self):
+        for n, r in ((10, 3), (64, 2), (12, 4), (7, 7), (6, 1)):
+            patterns = [pattern_from_index(i, n, r) for i in range(math.comb(n, r))]
+            assert patterns == sorted(combinations(range(n), r), key=lambda c: c[::-1])
 
     def test_out_of_range(self):
         with pytest.raises(ProtocolError):
@@ -95,18 +92,20 @@ class TestConfigs:
     def test_tuned_frame_length(self):
         from umacsim.sequences import DictionaryKind
 
-        cfg = SbidmaConfig(
+        cfg = TwoStepConfig(
             preamble=PreambleSpec(size=8192, base_length=1778, repetitions=1,
                                   kind=DictionaryKind.GAUSSIAN, power_scale=1 / 12),
             n_occasions=59, occasion_len=300, codec=ORACLE, pilot_len=50,
-            channel_model=ChannelModel.RAYLEIGH, mapping=Mapping.MANY_TO_ONE,
-            repetitions=2,
+            channel_model=ChannelModel.RAYLEIGH, rho=2,
         )
         assert cfg.frame_len == 19478
 
-    def test_one_to_one_requires_matching_sizes(self):
-        with pytest.raises(ProtocolError):
+    def test_preambles_cover_the_occasions(self):
+        with pytest.raises(ProtocolError, match="n_preambles >= n_occasions"):
             awgn_cfg(preamble=PreambleSpec(size=32, base_length=139, repetitions=2))
+        cfg = awgn_cfg(preamble=PreambleSpec(size=100, base_length=139, repetitions=2))
+        assert cfg.n_pilots == 2
+        assert cfg.map_preamble(70) == ((6,), 1)
 
     def test_occasion_arithmetic_checked(self):
         with pytest.raises(ProtocolError):
@@ -114,18 +113,17 @@ class TestConfigs:
 
     def test_rho_bounds(self):
         with pytest.raises(ProtocolError):
-            SbidmaConfig(
+            TwoStepConfig(
                 preamble=PreambleSpec(size=64, base_length=139, repetitions=2),
-                n_occasions=64, occasion_len=250, codec=ORACLE,
-                repetitions=65,
+                n_occasions=64, occasion_len=250, codec=ORACLE, rho=65,
             )
 
     def test_ml_codec_needs_single_copy(self):
         kw = dict(preamble=PreambleSpec(size=8, base_length=31, repetitions=2),
                   n_occasions=8, occasion_len=64, codec=ML8)
         with pytest.raises(ProtocolError, match="ML codec"):
-            SbidmaConfig(repetitions=2, **kw)
-        assert SbidmaConfig(repetitions=1, **kw).rho == 1
+            TwoStepConfig(rho=2, **kw)
+        assert TwoStepConfig(rho=1, **kw).rho == 1
 
 
 class TestEncode:
@@ -143,7 +141,6 @@ class TestEncode:
     def test_preamble_maps_to_occasion_and_pilot(self):
         cfg = fading_cfg(
             preamble=PreambleSpec(size=1024, base_length=139, repetitions=2),
-            mapping=Mapping.MANY_TO_ONE,
         )
         user = encode_user(cfg, 1, np.random.default_rng(0), preamble_index=200)
         assert user.occasions == (200 % 64,)
@@ -152,10 +149,11 @@ class TestEncode:
     def test_sbidma_rho1_reduces_to_twostep(self):
         ts = awgn_cfg(codec=ML8, occasion_len=64,
                       preamble=PreambleSpec(size=8, base_length=31, repetitions=2),
-                      n_occasions=8)
-        sb = SbidmaConfig(
+                      n_occasions=8, energy_policy=EnergyPolicy.PER_COPY_FULL)
+        sb = TwoStepConfig(
             preamble=PreambleSpec(size=8, base_length=31, repetitions=2),
-            n_occasions=8, occasion_len=64, codec=ML8, repetitions=1,
+            n_occasions=8, occasion_len=64, codec=ML8, rho=1,
+            energy_policy=EnergyPolicy.SPLIT_ACROSS_COPIES,
         )
         f1, u1 = encode_frame(ts, 5, np.random.default_rng(9))
         f2, u2 = encode_frame(sb, 5, np.random.default_rng(9))
@@ -165,11 +163,10 @@ class TestEncode:
         )
 
     def test_sbidma_rho2_two_identical_copies(self):
-        cfg = SbidmaConfig(
+        cfg = TwoStepConfig(
             preamble=PreambleSpec(size=1024, base_length=139, repetitions=2),
             n_occasions=64, occasion_len=300, codec=ORACLE, pilot_len=50,
-            channel_model=ChannelModel.RAYLEIGH, mapping=Mapping.MANY_TO_ONE,
-            repetitions=2,
+            channel_model=ChannelModel.RAYLEIGH, rho=2,
         )
         frame, user = encode_frame(cfg, 77, np.random.default_rng(1))
         assert len(user.occasions) == 2
@@ -182,22 +179,21 @@ class TestEncode:
     def test_split_energy_policy_halves_copy_energy(self):
         pre = PreambleSpec(size=1024, base_length=139, repetitions=2)
         kw = dict(n_occasions=64, occasion_len=300, codec=ORACLE, pilot_len=50,
-                  channel_model=ChannelModel.RAYLEIGH, mapping=Mapping.MANY_TO_ONE)
-        split = SbidmaConfig(preamble=pre, repetitions=2,
-                             energy_policy=EnergyPolicy.SPLIT_ACROSS_COPIES, **kw)
-        full = SbidmaConfig(preamble=pre, repetitions=2,
-                            energy_policy=EnergyPolicy.PER_COPY_FULL, **kw)
+                  channel_model=ChannelModel.RAYLEIGH)
+        split = TwoStepConfig(preamble=pre, rho=2,
+                              energy_policy=EnergyPolicy.SPLIT_ACROSS_COPIES, **kw)
+        full = TwoStepConfig(preamble=pre, rho=2,
+                             energy_policy=EnergyPolicy.PER_COPY_FULL, **kw)
         u_split = encode_user(split, 3, np.random.default_rng(2), preamble_index=10)
         u_full = encode_user(full, 3, np.random.default_rng(2), preamble_index=10)
         assert u_split.copy_energy == pytest.approx(u_full.copy_energy / 2, rel=1e-12)
 
     def test_power_constraint_all_protocols(self):
         configs = [awgn_cfg(), fading_cfg()]
-        configs.append(SbidmaConfig(
+        configs.append(TwoStepConfig(
             preamble=PreambleSpec(size=1024, base_length=139, repetitions=2),
             n_occasions=64, occasion_len=300, codec=ORACLE, pilot_len=50,
-            channel_model=ChannelModel.RAYLEIGH, mapping=Mapping.MANY_TO_ONE,
-            repetitions=2,
+            channel_model=ChannelModel.RAYLEIGH, rho=2,
         ))
         power = 0.8
         for cfg in configs:
@@ -289,7 +285,6 @@ class TestTwoStepReceive:
     def test_sic_cancel_leaves_the_other_users(self):
         cfg = fading_cfg(
             preamble=PreambleSpec(size=1024, base_length=139, repetitions=2),
-            mapping=Mapping.MANY_TO_ONE,
         )
         rng = np.random.default_rng(8)
         users = [
@@ -341,10 +336,12 @@ class TestSbidmaReceive:
         ts = TwoStepConfig(
             preamble=PreambleSpec(size=8, base_length=31, repetitions=2),
             n_occasions=8, occasion_len=64, codec=ML8,
+            energy_policy=EnergyPolicy.PER_COPY_FULL,
         )
-        sb = SbidmaConfig(
+        sb = TwoStepConfig(
             preamble=PreambleSpec(size=8, base_length=31, repetitions=2),
-            n_occasions=8, occasion_len=64, codec=ML8, repetitions=1,
+            n_occasions=8, occasion_len=64, codec=ML8, rho=1,
+            energy_policy=EnergyPolicy.SPLIT_ACROSS_COPIES,
         )
         for seed in range(50):
             a = TwoStepExperiment(config=ts).run_trial(3, 5.0, np.random.default_rng(seed))
@@ -355,11 +352,10 @@ class TestSbidmaReceive:
         # SplitAcrossCopies, no interference: sum of the two per-copy SINRs
         # equals the one-copy full-power SINR.
         pre = PreambleSpec(size=1024, base_length=139, repetitions=2)
-        sb = SbidmaConfig(preamble=pre, repetitions=2, n_occasions=64,
-                          occasion_len=250, codec=ORACLE, pilot_len=0,
-                          mapping=Mapping.MANY_TO_ONE)
+        sb = TwoStepConfig(preamble=pre, rho=2, n_occasions=64,
+                           occasion_len=250, codec=ORACLE, pilot_len=0)
         ts = TwoStepConfig(preamble=pre, n_occasions=64, occasion_len=250,
-                           codec=ORACLE, pilot_len=0, mapping=Mapping.MANY_TO_ONE)
+                           codec=ORACLE, pilot_len=0)
         power = 2.7
         rng = np.random.default_rng(4)
         u2 = encode_user(sb, 9, rng, power=power, preamble_index=17)
@@ -370,11 +366,11 @@ class TestSbidmaReceive:
         assert s2 == pytest.approx(s1, rel=1e-12)
 
     def test_sic_dominance(self):
-        cfg = SbidmaConfig(
+        cfg = TwoStepConfig(
             preamble=PreambleSpec(size=1024, base_length=139, repetitions=2),
             n_occasions=64, occasion_len=300, codec=ORACLE, pilot_len=50,
-            channel_model=ChannelModel.RAYLEIGH, mapping=Mapping.MANY_TO_ONE,
-            repetitions=2, energy_policy=EnergyPolicy.PER_COPY_FULL,
+            channel_model=ChannelModel.RAYLEIGH, rho=2,
+            energy_policy=EnergyPolicy.PER_COPY_FULL,
         )
         power = 10 ** 1.0
         for seed in range(20):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from umacsim.channel import energy
 from umacsim.sequences import (
     Dictionary,
     DictionaryKind,
@@ -54,20 +55,16 @@ class TestZadoffChu:
 class TestPreambleDictionary:
     def test_standard_family_shape_and_energy(self):
         d = build_preamble_dictionary(size=64, base_length=139, repetitions=2)
-        assert d.length == 278
-        assert d.size == 64
-        assert d.kind is DictionaryKind.ZADOFF_CHU
+        assert d.columns.shape == (278, 64)
         for j in range(64):
             e = float(np.sum(np.abs(d.column(j)) ** 2))
             assert e == pytest.approx(278.0, rel=1e-9)
 
-    def test_power_scale_and_sample_power(self):
-        d = build_preamble_dictionary(
-            size=8, base_length=139, repetitions=2, power_scale=1 / 12, sample_power=2.0
-        )
+    def test_power_scale(self):
+        d = build_preamble_dictionary(size=8, base_length=139, repetitions=2, power_scale=1 / 12)
         for j in range(8):
             e = float(np.sum(np.abs(d.column(j)) ** 2))
-            assert e == pytest.approx(278 * 2.0 / 12, rel=1e-9)
+            assert e == pytest.approx(278 / 12, rel=1e-9)
 
     def test_repetition_structure(self):
         d = build_preamble_dictionary(size=4, base_length=31, repetitions=2)
@@ -91,7 +88,7 @@ class TestPreambleDictionary:
         rng = np.random.default_rng(2)
         for _ in range(200):
             i, j = rng.choice(8192, size=2, replace=False)
-            coh = abs(np.vdot(d.column(i), d.column(j))) / d.per_column_energy
+            coh = abs(np.vdot(d.column(i), d.column(j))) / energy(d.column(i))
             assert coh < 0.2
 
     def test_zc_overflow_suggests_gaussian(self):
@@ -117,21 +114,21 @@ class TestPreambleDictionary:
 
 class TestPilotDictionary:
     def test_energy_exact(self):
-        d = build_pilot_dictionary(16, 50, np.random.default_rng(0), sample_power=0.5)
+        d = build_pilot_dictionary(16, 50, np.random.default_rng(0))
         for j in range(16):
             e = float(np.sum(np.abs(d.column(j)) ** 2))
-            assert e == pytest.approx(25.0, rel=1e-9)
+            assert e == pytest.approx(50.0, rel=1e-9)
 
     def test_size_one(self):
         d = build_pilot_dictionary(1, 50, np.random.default_rng(0))
-        assert d.size == 1 and d.length == 50
+        assert d.columns.shape == (50, 1)
 
     def test_pairwise_coherence_sampled(self):
         low = 0
         trials = 300
         for seed in range(trials):
             d = build_pilot_dictionary(2, 50, np.random.default_rng(seed))
-            coh = abs(np.vdot(d.column(0), d.column(1))) / d.per_column_energy
+            coh = abs(np.vdot(d.column(0), d.column(1))) / energy(d.column(0))
             if coh < 0.5:
                 low += 1
         assert low / trials >= 0.99
