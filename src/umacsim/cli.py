@@ -232,14 +232,14 @@ def build_experiment(config: ExperimentConfig):
                 f"got {config.occasion_len}"
             )
         return SlottedAlohaExperiment(config=sa, receiver=receiver)
-    preamble = PreambleSpec(
-        size=config.n_preambles,
-        base_length=config.preamble_len,
-        repetitions=config.preamble_reps,
-        kind=DictionaryKind(config.preamble_kind),
-        power_scale=config.preamble_power_scale,
-    )
     try:
+        preamble = PreambleSpec(
+            size=config.n_preambles,
+            base_length=config.preamble_len,
+            repetitions=config.preamble_reps,
+            kind=DictionaryKind(config.preamble_kind),
+            power_scale=config.preamble_power_scale,
+        )
         proto = TwoStepConfig(
             preamble=preamble,
             n_occasions=config.n_occasions,

@@ -28,10 +28,11 @@ class DetectionResult:
     residual_energy: float
 
 
-def _columns(dictionary) -> np.ndarray:
+def _dictionary(dictionary) -> Dictionary:
     if isinstance(dictionary, Dictionary):
-        return dictionary.columns
-    return np.asarray(dictionary)
+        return dictionary
+    # A view, so the read-only flag Dictionary sets leaves the caller's array alone.
+    return Dictionary(columns=np.asarray(dictionary).view())
 
 
 def omp_detect(
@@ -52,8 +53,8 @@ def omp_detect(
     columns' Gram matrix grows by one row per selection, so each iteration
     costs one pass over the dictionary plus O(length * k) for the k selected
     columns.  `coefficients` are in the units of the dictionary passed in;
-    the selected indices do not change when every column is scaled by the
-    same positive constant.  This is `omp_detect_many` on one signal.
+    the selected indices do not change when every column is scaled exactly
+    by the same positive constant.  This is `omp_detect_many` on one signal.
     """
     y = np.asarray(y)
     if y.ndim != 1:
@@ -76,11 +77,21 @@ def omp_detect_many(
     residuals, so the dictionary is read once per iteration for the batch
     instead of once per signal (Batch-OMP in the sense of Rubinstein,
     Zibulevsky & Elad 2008, without their precomputed Gram matrix, which
-    does not fit in memory for large dictionaries).  The matrix product
-    rounds differently from a one-signal product, by about 1e-13 relative;
-    only the argmax reads the correlations.
+    does not fit in memory for large dictionaries).
+
+    The correlation runs in the dictionary's own precision: complex64 for
+    the preamble dictionaries, whose contiguous columns make the product
+    fast.  Only the pick reads it, and the pick is exact: every column
+    whose correlation lies within a rigorous rounding bound of the largest
+    (`_rounding_bound`) is re-scored in complex128, and the largest
+    re-scored value wins, ties to the lowest index as `np.argmax` breaks
+    them.  So the selections are those of a complex128 correlation of the
+    same column values, whatever the dictionary's dtype or the batch (mixed
+    precision in the sense of Higham & Mary, Acta Numerica 2022).  Least
+    squares and residuals are complex128 throughout.
     """
-    a = _columns(dictionary)
+    d = _dictionary(dictionary)
+    a = d.columns
     if a.ndim != 2:
         raise DetectionError("dictionary must be a 2-D column matrix")
     ys = np.asarray(ys)
@@ -95,16 +106,41 @@ def omp_detect_many(
         _CholeskyOmp(ys[:, b], a, int(iters[b]), float(thresholds[b])) for b in range(count)
     ]
     running = [s for s in states if s.running]
+    work = np.result_type(a.dtype, np.complex64)     # complex64 or complex128
+    bound_factor, bound_floor = _rounding_bound(a.shape[0], work, d.max_column_norm)
     while running:
-        conj_residuals = np.empty((len(running), a.shape[0]), dtype=complex)
+        conj_residuals = np.empty((len(running), a.shape[0]), dtype=work)
         for row, state in zip(conj_residuals, running):
             np.conjugate(state.residual, out=row)
         # |conj(r)^T a_j| == |a_j^H r| without a conjugated dictionary copy.
         corr = np.abs(conj_residuals @ a)
         for state, c in zip(running, corr):
-            state.step(c)
+            state.step(c, bound_factor * state.res_norm + bound_floor)
         running = [s for s in running if s.running]
     return [s.result() for s in states]
+
+
+def _rounding_bound(n: int, dtype, max_norm: float) -> tuple[float, float]:
+    """(factor, floor) with |c_j - s_j| <= factor * ||r|| + floor for every j,
+    where c_j is a correlation |a_j^H r| computed as `omp_detect_many` does
+    in `dtype`, and s_j its complex128 re-score in `_CholeskyOmp._pick`.
+
+    In `dtype` with unit roundoff u and gamma_k = k u / (1 - k u): rounding
+    r to `dtype` adds at most u |a_j| |r|, the n-term complex dot product in
+    any summation order gamma_(n+2) |a_j| |r|, and `abs` 2u of its result,
+    together at most gamma_(n+5) |a_j| |r|.  The complex128 re-score adds
+    gamma_(n+4) in double precision.  One more unit in each covers computing
+    |a_j| and |r| in double precision, and `floor` covers underflow to
+    `dtype`'s subnormals.  |a_j| is bounded by the largest column norm.
+    """
+    def gamma(k: int, u: float) -> float:
+        return k * u / (1.0 - k * u)
+
+    finfo = np.finfo(dtype)
+    u = float(finfo.eps) / 2.0
+    factor = (gamma(n + 6, u) + gamma(n + 6, 2.0**-53)) * max_norm
+    floor = n * (max_norm + 4.0) * float(finfo.smallest_subnormal)
+    return factor, floor
 
 
 class _CholeskyOmp:
@@ -123,19 +159,34 @@ class _CholeskyOmp:
         self.coef = np.zeros(0, dtype=complex)
         self.residual = self.y
         self.res_energy = e_y
+        self.res_norm = np.sqrt(e_y)
         self.running = self.max_iters > 0 and e_y > self.stop_energy
 
-    def step(self, corr: np.ndarray) -> None:
-        """One selection from this signal's correlations |a_j^H r| (overwritten)."""
+    def _pick(self, corr: np.ndarray, bound: float) -> int:
+        """The unselected column with the largest complex128 correlation,
+        from this signal's correlations in the dictionary's precision
+        (overwritten), each within `bound` of its complex128 value."""
+        corr[self.selected] = -np.inf
+        top = float(corr.max())
+        # Any column below this cannot have the largest complex128 value.
+        # np.float64 keeps the comparison in double precision.
+        band = np.flatnonzero(corr >= np.float64(top - 2.0 * bound))
+        if len(band) == 1:
+            return int(band[0])
+        # Re-scored the same way whatever the dictionary's dtype.
+        scores = [abs(np.vdot(self.a[:, j].astype(complex), self.residual)) for j in band]
+        return int(band[int(np.argmax(scores))])
+
+    def step(self, corr: np.ndarray, bound: float) -> None:
+        """One selection from this signal's correlations |a_j^H r|."""
         k = len(self.selected)
-        corr[self.selected] = -1.0
-        j = int(np.argmax(corr))
-        col = self.a[:, j]
-        col_energy = energy(col)
+        j = self._pick(corr, bound)
         # The selected columns and a_j as rows, gathered afresh each step:
         # holding them for every signal of a batch would cost more memory
         # than the gather costs time.
-        rows = self.a.T[self.selected + [j]]
+        rows = self.a.T[self.selected + [j]].astype(complex, copy=False)
+        col = rows[k]
+        col_energy = energy(col)
         # New Cholesky row [w^H, d]: L w = A_s^H a_j, d^2 = |a_j|^2 - |w|^2.
         # Triangular solves call BLAS trsv directly: the checked scipy
         # wrappers cost more than the solves at these sizes.
@@ -154,8 +205,10 @@ class _CholeskyOmp:
         # L^H c = z
         self.coef = ztrsv(self.chol[: k + 1, : k + 1], self.z[: k + 1], lower=1, trans=2)
         self.residual = self.y - rows.T @ self.coef
+        e_r = energy(self.residual)
+        self.res_norm = np.sqrt(e_r)
         # LS projection cannot increase the residual; clamp float jitter.
-        self.res_energy = min(self.res_energy, energy(self.residual))
+        self.res_energy = min(self.res_energy, e_r)
         self.running = k + 1 < self.max_iters and self.res_energy > self.stop_energy
 
     def result(self) -> DetectionResult:

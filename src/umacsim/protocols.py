@@ -42,7 +42,13 @@ from .detection import (
     omp_detect_many,
     subtract,
 )
-from .sequences import Dictionary, DictionaryKind, build_preamble_dictionary, build_pilot_dictionary
+from .sequences import (
+    Dictionary,
+    DictionaryKind,
+    build_pilot_dictionary,
+    build_preamble_dictionary,
+    check_preamble,
+)
 
 
 class ProtocolError(ValueError):
@@ -66,6 +72,9 @@ class PreambleSpec:
     repetitions: int = 1
     kind: DictionaryKind = DictionaryKind.ZADOFF_CHU
     power_scale: float = 1.0
+
+    def __post_init__(self):
+        check_preamble(self.size, self.base_length, self.repetitions, self.power_scale, self.kind)
 
     @property
     def length(self) -> int:
@@ -191,7 +200,7 @@ class UserTx:
     occasions: tuple[int, ...]
     pilot_index: int
     gain: complex                   # 1 for AWGN; CN(0,1) frame-constant otherwise
-    preamble_signal: np.ndarray     # transmitted (gain not applied)
+    preamble_amplitude: float       # sqrt(power): scales the preamble column
     copy_signal: np.ndarray         # pilot + codeword placed in each occasion
     codeword_energy: float          # per copy
 
@@ -211,7 +220,11 @@ class TransmissionRecord:
     def add_user(self, frame: np.ndarray, user: UserTx, scale: complex) -> None:
         """Add `scale` times the user's preamble and packet copies to `frame`,
         in place: the one statement of where a user's signals sit in a frame."""
-        frame[: len(user.preamble_signal)] += scale * user.preamble_signal
+        # The preamble is rebuilt from the cached dictionary at each use
+        # rather than kept per user; complex64 columns are upcast first.
+        column = build_dictionaries(self.config)[0].column(user.preamble_index)
+        preamble = column.astype(complex) * user.preamble_amplitude
+        frame[: len(preamble)] += scale * preamble
         for occ in user.occasions:
             off = self.config.occasion_offset(occ)
             frame[off : off + len(user.copy_signal)] += scale * user.copy_signal
@@ -244,13 +257,11 @@ def encode_user(
     preamble_index: int | None = None,
 ) -> UserTx:
     """Draw a preamble (uniform unless forced) and build the user's signals."""
-    pre_dict, pilot_dict = build_dictionaries(cfg)
+    _, pilot_dict = build_dictionaries(cfg)
     if preamble_index is None:
         preamble_index = int(rng.integers(0, cfg.preamble.size))
     occasions, pilot_index = cfg.map_preamble(preamble_index)
     sqrt_p = math.sqrt(power)
-    preamble = pre_dict.column(preamble_index) * sqrt_p
-
     copy_scale = sqrt_p
     if cfg.rho > 1 and cfg.energy_policy is EnergyPolicy.SPLIT_ACROSS_COPIES:
         copy_scale = sqrt_p / math.sqrt(cfg.rho)
@@ -266,7 +277,7 @@ def encode_user(
         occasions=occasions,
         pilot_index=pilot_index,
         gain=gain,
-        preamble_signal=preamble,
+        preamble_amplitude=sqrt_p,
         copy_signal=copy_signal,
         codeword_energy=float(energy(codeword)),
     )

@@ -2,17 +2,19 @@
 sets, normalized complex Gaussian columns for enlarged sets.
 
 Columns have per-sample power `power_scale` (preambles) or 1 (pilots); a
-user's transmit power scales its column at encoding time.
+user's transmit power scales its column at encoding time.  Preamble columns
+are stored as complex64, the rounding of the complex128 values the private
+column builders compute; pilot columns stay complex128.  Both are stored
+with contiguous columns (Fortran order).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
-
-ENERGY_RTOL = 1e-9
 
 
 class DictionaryKind(str, Enum):
@@ -26,9 +28,11 @@ class SequenceError(ValueError):
 
 @dataclass(frozen=True)
 class Dictionary:
-    """Immutable set of equal-length columns with identical energy.
+    """Immutable set of equal-length columns.
 
-    `columns` has shape (length, size); column j is `columns[:, j]`.
+    `columns` has shape (length, size); column j is `columns[:, j]`.  Its
+    dtype may be complex64: upcast a column (`astype(complex)`) before
+    arithmetic that must stay in double precision.
     """
 
     columns: np.ndarray
@@ -38,6 +42,16 @@ class Dictionary:
 
     def column(self, index: int) -> np.ndarray:
         return self.columns[:, index]
+
+    @cached_property
+    def max_column_norm(self) -> float:
+        """The largest column 2-norm, summed in double precision one block of
+        columns at a time, and computed once per dictionary."""
+        best = 0.0
+        for c0 in range(0, self.columns.shape[1], _NORM_BLOCK):
+            block = self.columns[:, c0 : c0 + _NORM_BLOCK].astype(complex)
+            best = max(best, float(np.linalg.norm(block, axis=0).max()))
+        return best
 
 
 def _is_prime(n: int) -> bool:
@@ -71,34 +85,90 @@ def zadoff_chu(root: int, length: int) -> np.ndarray:
 
 # Gaussian columns are drawn in row blocks of about this many values and
 # normalised in blocks of this many columns, so building a large dictionary
-# makes no full-size temporaries.
+# holds one complex128 copy of it at most.
 _DRAW_BLOCK = 1 << 19
-_NORM_BLOCK = 512
+_NORM_BLOCK = 128
 
 
 def _gaussian_columns(
-    size: int, length: int, target_energy: float, rng: np.random.Generator
+    size: int, length: int, target_energy: float, rng: np.random.Generator, dtype
 ) -> np.ndarray:
-    """i.i.d. CN columns scaled to `target_energy`, built in place.
+    """i.i.d. CN columns scaled to `target_energy`, rounded to `dtype`.
 
-    Bit-identical to drawing a (length, size) real block, then an imaginary
-    block, and scaling by sqrt(target_energy) / np.linalg.norm(axis=0).
+    Before rounding, bit-identical to drawing a (length, size) real block,
+    then an imaginary block, and scaling by sqrt(target_energy) /
+    np.linalg.norm(axis=0).  The draw is written into complex128 blocks of
+    columns; each is normalised, rounded into the Fortran-order output and
+    freed in turn.
     """
-    cols = np.empty((length, size), dtype=complex)
-    rows = max(1, _DRAW_BLOCK // size)
-    for part in (cols.real, cols.imag):
-        for r0 in range(0, length, rows):
-            part[r0 : r0 + rows] = rng.standard_normal((min(rows, length - r0), size))
     edges = [*range(0, size, _NORM_BLOCK), size]
     # np.linalg.norm(axis=0) reduces a single column by a different (pairwise)
     # summation, so a one-column tail is folded into the previous block.
     if len(edges) > 2 and edges[-1] - edges[-2] == 1:
         del edges[-2]
+    spans = list(zip(edges, edges[1:]))
+    blocks = [np.empty((length, c1 - c0), dtype=complex) for c0, c1 in spans]
+    rows = max(1, _DRAW_BLOCK // size)
+    for part in ("real", "imag"):
+        for r0 in range(0, length, rows):
+            draw = rng.standard_normal((min(rows, length - r0), size))
+            for block, (c0, c1) in zip(blocks, spans):
+                getattr(block, part)[r0 : r0 + rows] = draw[:, c0:c1]
+    cols = np.empty((length, size), dtype=dtype, order="F")
     scale = math.sqrt(target_energy)
-    for c0, c1 in zip(edges, edges[1:]):
-        block = cols[:, c0:c1]
+    for i, (c0, c1) in enumerate(spans):
+        block, blocks[i] = blocks[i], None
         block *= scale / np.linalg.norm(block, axis=0)
+        # Copied in tiles of rows, which keeps the transposing copy in cache.
+        for r0 in range(0, length, 64):
+            cols[r0 : r0 + 64, c0:c1] = block[r0 : r0 + 64]
     return cols
+
+
+def _zadoff_chu_columns(
+    size: int, base_length: int, repetitions: int, power_scale: float, dtype
+) -> np.ndarray:
+    """The first `size` (shift, root) Zadoff-Chu columns, rounded to `dtype`."""
+    length = base_length * repetitions
+    cols = np.empty((length, size), dtype=dtype, order="F")
+    scale = math.sqrt(power_scale)
+    for idx in range(size):
+        shift = idx // (base_length - 1)
+        root = 1 + idx % (base_length - 1)
+        base = np.roll(zadoff_chu(root, base_length), shift)
+        cols[:, idx] = np.tile(base, repetitions) * scale
+    return cols
+
+
+def check_preamble(
+    size: int,
+    base_length: int,
+    repetitions: int,
+    power_scale: float,
+    kind: DictionaryKind,
+) -> None:
+    """Raise SequenceError unless a preamble dictionary with these
+    parameters can be built and carries signal."""
+    if size < 1:
+        raise SequenceError(f"size must be >= 1, got {size}")
+    if base_length < 1:
+        raise SequenceError(f"base length must be >= 1, got {base_length}")
+    if repetitions < 1:
+        raise SequenceError(f"repetitions must be >= 1, got {repetitions}")
+    if not (power_scale > 0.0 and math.isfinite(power_scale)):
+        raise SequenceError(f"power scale must be positive and finite, got {power_scale}")
+    if kind is DictionaryKind.ZADOFF_CHU:
+        if not _is_prime(base_length):
+            raise SequenceError(
+                f"Zadoff-Chu base length must be prime, got {base_length}; "
+                "use the Gaussian kind for other lengths"
+            )
+        max_size = (base_length - 1) * base_length   # roots x cyclic shifts
+        if size > max_size:
+            raise SequenceError(
+                f"{size} sequences exceed the {max_size} root/shift combinations "
+                f"of length {base_length}; use the Gaussian kind for enlarged sets"
+            )
 
 
 def build_preamble_dictionary(
@@ -109,38 +179,24 @@ def build_preamble_dictionary(
     kind: DictionaryKind = DictionaryKind.ZADOFF_CHU,
     rng: np.random.Generator | None = None,
 ) -> Dictionary:
-    """Preamble dictionary with columns of length base_length * repetitions.
+    """Preamble dictionary with complex64 columns of length
+    base_length * repetitions.
 
     Zadoff-Chu columns enumerate (cyclic shift, root) pairs shift-major
     (index -> shift = index // (N-1), root = 1 + index % (N-1)), giving a
     deterministic index-to-sequence map; each base sequence is repeated
     `repetitions` times.  Gaussian columns are i.i.d. CN, normalized.
-    Column energy is base_length * repetitions * power_scale.
+    Column energy is base_length * repetitions * power_scale before the
+    values are rounded to complex64.
     """
-    if size < 1:
-        raise SequenceError(f"size must be >= 1, got {size}")
-    if repetitions < 1:
-        raise SequenceError(f"repetitions must be >= 1, got {repetitions}")
-    length = base_length * repetitions
-    target = length * power_scale
+    check_preamble(size, base_length, repetitions, power_scale, kind)
     if kind is DictionaryKind.ZADOFF_CHU:
-        max_size = (base_length - 1) * base_length   # roots x cyclic shifts
-        if size > max_size:
-            raise SequenceError(
-                f"{size} sequences exceed the {max_size} root/shift combinations "
-                f"of length {base_length}; use the Gaussian kind for enlarged sets"
-            )
-        cols = np.empty((length, size), dtype=complex)
-        scale = math.sqrt(target / length)
-        for idx in range(size):
-            shift = idx // (base_length - 1)
-            root = 1 + idx % (base_length - 1)
-            base = np.roll(zadoff_chu(root, base_length), shift)
-            cols[:, idx] = np.tile(base, repetitions) * scale
+        cols = _zadoff_chu_columns(size, base_length, repetitions, power_scale, np.complex64)
     else:
         if rng is None:
             raise SequenceError("Gaussian dictionaries need an rng")
-        cols = _gaussian_columns(size, length, target, rng)
+        length = base_length * repetitions
+        cols = _gaussian_columns(size, length, length * power_scale, rng, np.complex64)
     return Dictionary(columns=cols)
 
 
@@ -149,9 +205,10 @@ def build_pilot_dictionary(
     length: int,
     rng: np.random.Generator,
 ) -> Dictionary:
-    """Gaussian pilot dictionary, per-column energy = length."""
+    """Gaussian pilot dictionary with complex128 columns, per-column energy
+    = length."""
     if size < 1:
         raise SequenceError(f"size must be >= 1, got {size}")
     if length < 1:
         raise SequenceError(f"length must be >= 1, got {length}")
-    return Dictionary(columns=_gaussian_columns(size, length, length, rng))
+    return Dictionary(columns=_gaussian_columns(size, length, length, rng, complex))

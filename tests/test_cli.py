@@ -129,6 +129,22 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="tol_db"):
             parse_config(FAST_CONFIG.replace("tol_db: 0.5", f"tol_db: {tol}"))
 
+    @pytest.mark.parametrize(
+        "change, match",
+        [
+            ({"preamble_len": 140}, "prime"),
+            ({"n_preambles": 20000}, "root/shift"),
+            ({"preamble_power_scale": -1.0}, "power scale"),
+            ({"preamble_power_scale": 0.0}, "power scale"),
+        ],
+    )
+    def test_unbuildable_preamble_rejected(self, change, match):
+        # Each of these used to be accepted, then crash mid-run (140 is not
+        # prime, 20000 exceeds the 19,182 root/shift pairs, sqrt of -1) or,
+        # at zero power, search the whole bracket to "not found".
+        with pytest.raises(ConfigError, match=match):
+            dataclasses.replace(load_preset("twostep_rayleigh_1024"), **change)
+
     def test_slotted_aloha_on_rayleigh_rejected(self):
         # The slotted-Aloha model has no fading: it would be run on AWGN.
         with pytest.raises(ConfigError, match="channel"):

@@ -137,6 +137,9 @@ class TestOmpEquivalence:
     @given(sparse_problems(), thresholds, st.floats(1e-3, 1e3))
     def test_common_column_scale_keeps_support(self, problem, threshold, scale):
         a, y, max_iters = problem
+        if a.dtype == np.complex64:
+            # A power of two scales complex64 columns exactly.
+            scale = 2.0 ** round(math.log2(scale))
         base = omp_detect(y, a, max_iters=max_iters, residual_threshold=threshold)
         scaled = omp_detect(y, a * scale, max_iters=max_iters, residual_threshold=threshold)
         assert scaled.indices == base.indices
@@ -231,6 +234,50 @@ class TestOmpMany:
             omp_detect_many(np.zeros(6, complex), a, max_iters=1)
         with pytest.raises(DetectionError):
             omp_detect(np.zeros((6, 1), complex), a, max_iters=1)
+
+
+@st.composite
+def near_tie_problems(draw):
+    """(complex64 dictionary, signals as columns, max_iters, thresholds).
+
+    Some columns have a near-duplicate: the same column plus a relative
+    perturbation of 1e-7 to 1e-5.  A signal built on such a column
+    correlates with the pair within the complex64 correlation error, so
+    only the complex128 re-score orders the two.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = draw(st.integers(16, 64))
+    base = gaussian_dict(rows, draw(st.integers(4, rows)), rng)
+    paired = rng.choice(base.shape[1], draw(st.integers(1, base.shape[1])), replace=False)
+    eps = 10.0 ** draw(st.floats(-7.0, -5.0))
+    near = base[:, paired] + eps * gaussian_dict(rows, len(paired), rng)
+    a = np.concatenate([base, near], axis=1).astype(np.complex64, order="F")
+    count = draw(st.integers(1, 4))
+    ys = np.empty((rows, count), dtype=complex)
+    for b in range(count):
+        k = int(rng.integers(1, len(paired) + 1))
+        support = rng.choice(paired, k, replace=False)
+        coefs = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        noise_std = draw(st.floats(0.001, 0.1))
+        ys[:, b] = base[:, support] @ coefs + noise_std * complex_noise(rows, 1.0, rng)
+    max_iters = [draw(st.integers(1, a.shape[1])) for _ in range(count)]
+    stops = [draw(thresholds) for _ in range(count)]
+    return a, ys, max_iters, stops
+
+
+class TestMixedPrecision:
+    @omp_settings
+    @given(near_tie_problems())
+    def test_complex64_dictionary_matches_complex128(self, problem):
+        """The complex64 correlation with its complex128 band re-check picks
+        what a complex128 correlation of the same column values picks."""
+        a, ys, max_iters, stops = problem
+        many = omp_detect_many(ys, a, max_iters=max_iters, residual_threshold=stops)
+        wide = a.astype(complex)
+        for b, res in enumerate(many):
+            ref = omp_detect(ys[:, b], wide, max_iters[b], stops[b])
+            assert res.indices == ref.indices
+            np.testing.assert_allclose(res.coefficients, ref.coefficients, rtol=0, atol=1e-10)
 
 
 class TestEnergyDetect:

@@ -1,19 +1,22 @@
 """Golden integer counts: any change to the simulator's numbers shows here.
 
-Every value below was recorded at commit 6f4eef0, before the OMP detection
-kernel was rewritten (Cholesky least squares, no per-call scaled
-dictionary, in-place Gaussian dictionary build), and the rewrite
-reproduces all of them exactly.  A change that moves one of these counts
-changes simulation results; it must say why in CHANGES.md before the
-value here is re-recorded.
+Every value below but the stored complex64 preamble digests was recorded
+at commit 6f4eef0, before the OMP detection kernel was rewritten (Cholesky
+least squares, no per-call scaled dictionary, in-place Gaussian dictionary
+build), and the rewrite reproduces all of them exactly; so do the complex64
+preamble dictionaries with OMP's exact complex128 pick.  A change that
+moves one of these counts changes simulation results; it must say why in
+CHANGES.md before the value here is re-recorded.
 """
 import hashlib
 
+import numpy as np
 import pytest
 
 from umacsim.cli import build_experiment, load_preset, preset_names
 from umacsim.montecarlo import estimate_pupe
 from umacsim.protocols import build_dictionaries
+from umacsim.sequences import DictionaryKind, _gaussian_columns, _zadoff_chu_columns
 
 SEED = 7
 
@@ -28,7 +31,9 @@ GOLDEN_COUNTS = {
     "sbidma_tuned": (30, 6.0, 2, (10, 0)),
 }
 
-# preset -> sha256 of (preamble columns bytes, pilot columns bytes)
+# preset -> sha256 of the complex128 (preamble, pilot) column values, as
+# recorded at 6f4eef0.  Preamble columns are stored rounded to complex64, so
+# their pin is on the values before rounding, from the private builders.
 GOLDEN_DICTIONARIES = {
     "sbidma_tuned": (
         "37c8458ddc663c420a2b21b0a4cc2ce1d89e7f793370252a4e44774850bc1f71",
@@ -38,6 +43,14 @@ GOLDEN_DICTIONARIES = {
         "e0a65dd3b6aa21d9d14bb64b843148f9bb42dd6f32ef9acd9b76d712005ffa92",
         "c0ceb87ca0598b20bb56e07de28539f38d684ccaaf66378ecd535946928872b9",
     ),
+}
+
+# preset -> sha256 of the stored complex64 preamble bytes, recorded when the
+# preamble dictionaries became complex64: the exact rounding of the values
+# pinned above, checked by `test_dictionary_bytes`.
+GOLDEN_STORED_PREAMBLES = {
+    "sbidma_tuned": "4c91181aef4afc80881733a4a10de2638f5f332ded6f7ca0a6f4b0f2577c68d9",
+    "twostep_rayleigh_1024": "d525fee126f805f02e934b54207f998411225ecf8431a42ef4ba5761fcfd013c",
 }
 
 
@@ -54,10 +67,30 @@ def test_estimate_counts(preset):
     assert est.total == ka * trials
 
 
+def sha256(columns):
+    return hashlib.sha256(columns.tobytes()).hexdigest()
+
+
+def exact_preamble_columns(spec):
+    """The complex128 preamble values `build_dictionaries` rounds to complex64."""
+    if spec.kind is DictionaryKind.ZADOFF_CHU:
+        return _zadoff_chu_columns(
+            spec.size, spec.base_length, spec.repetitions, spec.power_scale, complex
+        )
+    rng = np.random.default_rng(np.random.SeedSequence(0))
+    return _gaussian_columns(spec.size, spec.length, spec.length * spec.power_scale, rng, complex)
+
+
 @pytest.mark.parametrize("preset", sorted(GOLDEN_DICTIONARIES))
 def test_dictionary_bytes(preset):
-    pre, pilots = build_dictionaries(build_experiment(load_preset(preset)).config)
-    digests = tuple(
-        hashlib.sha256(d.columns.tobytes()).hexdigest() for d in (pre, pilots)
-    )
-    assert digests == GOLDEN_DICTIONARIES[preset]
+    config = build_experiment(load_preset(preset)).config
+    pre, pilots = build_dictionaries(config)
+    exact = exact_preamble_columns(config.preamble)
+    assert (sha256(exact), sha256(pilots.columns)) == GOLDEN_DICTIONARIES[preset]
+    assert pre.columns.dtype == np.complex64 and pre.columns.flags.f_contiguous
+    assert pre.columns.nbytes * 2 == exact.nbytes
+    assert pilots.columns.dtype == np.complex128
+    for c0 in range(0, exact.shape[1], 512):
+        block = exact[:, c0 : c0 + 512]
+        assert np.array_equal(pre.columns[:, c0 : c0 + 512], block.astype(np.complex64))
+    assert sha256(pre.columns) == GOLDEN_STORED_PREAMBLES[preset]

@@ -9,6 +9,8 @@ from umacsim.sequences import (
     Dictionary,
     DictionaryKind,
     SequenceError,
+    _gaussian_columns,
+    _zadoff_chu_columns,
     build_pilot_dictionary,
     build_preamble_dictionary,
     zadoff_chu,
@@ -54,16 +56,21 @@ class TestZadoffChu:
 
 class TestPreambleDictionary:
     def test_standard_family_shape_and_energy(self):
+        # Energies of the complex128 values, which are stored rounded to complex64.
+        exact = _zadoff_chu_columns(64, 139, 2, 1.0, complex)
         d = build_preamble_dictionary(size=64, base_length=139, repetitions=2)
         assert d.columns.shape == (278, 64)
+        assert np.array_equal(d.columns, exact.astype(np.complex64))
         for j in range(64):
-            e = float(np.sum(np.abs(d.column(j)) ** 2))
+            e = float(np.sum(np.abs(exact[:, j]) ** 2))
             assert e == pytest.approx(278.0, rel=1e-9)
 
     def test_power_scale(self):
+        exact = _zadoff_chu_columns(8, 139, 2, 1 / 12, complex)
         d = build_preamble_dictionary(size=8, base_length=139, repetitions=2, power_scale=1 / 12)
+        assert np.array_equal(d.columns, exact.astype(np.complex64))
         for j in range(8):
-            e = float(np.sum(np.abs(d.column(j)) ** 2))
+            e = float(np.sum(np.abs(exact[:, j]) ** 2))
             assert e == pytest.approx(278 / 12, rel=1e-9)
 
     def test_repetition_structure(self):
@@ -73,11 +80,13 @@ class TestPreambleDictionary:
             assert np.allclose(col[:31], col[31:], rtol=0, atol=1e-12)
 
     def test_single_gaussian_column_energy(self):
+        exact = _gaussian_columns(1, 50, 50.0, np.random.default_rng(0), complex)
         d = build_preamble_dictionary(
             size=1, base_length=50, kind=DictionaryKind.GAUSSIAN,
             rng=np.random.default_rng(0),
         )
-        e = float(np.sum(np.abs(d.column(0)) ** 2))
+        assert np.array_equal(d.columns, exact.astype(np.complex64))
+        e = float(np.sum(np.abs(exact[:, 0]) ** 2))
         assert e == pytest.approx(50.0, rel=1e-12)
 
     def test_large_gaussian_coherence(self):
