@@ -8,7 +8,6 @@ import csv
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
 from scipy.special import ndtri
 
 LOG2E = math.log2(math.e)
@@ -94,7 +93,8 @@ def min_snr_single_user(n: int, k: float, epsilon: float) -> float:
     """The unique snr with normal_approx_log_m(n, k, eps, snr) = k.
 
     Uniqueness follows from strict monotonicity of the approximation in snr.
-    Bracketed root finding to 1e-9 relative tolerance.
+    Bisection on a bracket [lo, hi] with gap(lo) <= 0 < gap(hi), until its
+    width is at most 1e-12 * hi or it stops shrinking; returns its midpoint.
     """
     def gap(snr):
         return normal_approx_log_m(BoundQuery(n=n, k=k, epsilon=epsilon, snr=snr)) - k
@@ -108,7 +108,15 @@ def min_snr_single_user(n: int, k: float, epsilon: float) -> float:
         raise ArithmeticError(f"bracket expansion failed for n={n}, k={k}, eps={epsilon}")
     if gap(lo) > 0:
         return lo
-    return float(brentq(gap, lo, hi, rtol=1e-12, maxiter=200))
+    while hi - lo > 1e-12 * hi:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if gap(mid) > 0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
 
 
 def load_reference_curve(path, label: str | None = None) -> ReferenceCurve:

@@ -323,7 +323,13 @@ def run(
     strict: bool = False,
     stream=sys.stdout,
 ) -> int:
-    """Execute the sweep, write the CSV, print a summary; returns exit code."""
+    """Execute the sweep, write the CSV, print a summary; returns exit code.
+
+    Raises ConfigError, before any probe or checkpoint, unless `trials_scale`
+    is positive and finite.
+    """
+    if not (math.isfinite(trials_scale) and trials_scale > 0):
+        raise ConfigError(f"--trials-scale must be positive and finite, got {trials_scale}")
     seed = config.seed if seed is None else seed
     schedule = _scale_schedule(config.trials_schedule, trials_scale)
     experiment = build_experiment(config)
@@ -438,8 +444,6 @@ def main(argv=None) -> int:
                 config = parse_config(fh.read())
         else:
             parser.error("one of --config or --preset is required")
-        if args.trials_scale <= 0:
-            raise ConfigError("--trials-scale must be positive")
         return run(
             config,
             args.out,

@@ -3,6 +3,7 @@ and the windowed subtraction primitive used by interference cancellation.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +16,15 @@ from .sequences import Dictionary
 # already selected is at most this fraction of its energy is taken as
 # linearly dependent on them: OMP stops instead of selecting it.
 LS_PIVOT_TOL = 1e-12
+
+# A pass over the dictionary that fetches the Gram row a waiting signal
+# needs also fetches the rows of that signal's FETCH_AHEAD largest
+# correlations without one, its likeliest next picks.  A row costs far
+# less inside a wide pass than a pass does (on a 2-vCPU Xeon with
+# OpenBLAS 0.3, a (64, 1778) x (1778, 8192) complex64 product takes
+# 0.84 ms per row, a one-row product 5.9 ms), so fetching ahead saves
+# passes.  It changes how many passes a call makes, never its results.
+FETCH_AHEAD = 8
 
 
 class DetectionError(ValueError):
@@ -51,8 +61,9 @@ def omp_detect(
 
     The least squares is OMP-Cholesky: the Cholesky factor of the selected
     columns' Gram matrix grows by one row per selection, so each iteration
-    costs one pass over the dictionary plus O(length * k) for the k selected
-    columns.  `coefficients` are in the units of the dictionary passed in;
+    costs O((length + size) * k) for the k selected columns, plus its share
+    of the few passes over the dictionary that `omp_detect_many` makes.
+    `coefficients` are in the units of the dictionary passed in;
     the selected indices do not change when every column is scaled exactly
     by the same positive constant.  This is `omp_detect_many` on one signal.
     """
@@ -72,21 +83,30 @@ def omp_detect_many(
 
     `max_iters` and `residual_threshold` are scalars or one value per column.
     Each column keeps its own selections, Cholesky factor and stopping rule;
-    only the correlation step is shared.  Every iteration correlates all
-    still-running residuals at once, conj(R) @ A with R the (running, length)
-    residuals, so the dictionary is read once per iteration for the batch
-    instead of once per signal (Batch-OMP in the sense of Rubinstein,
-    Zibulevsky & Elad 2008, without their precomputed Gram matrix, which
-    does not fit in memory for large dictionaries).
+    only the passes over the dictionary are shared.
 
-    The correlation runs in the dictionary's own precision: complex64 for
-    the preamble dictionaries, whose contiguous columns make the product
-    fast.  Only the pick reads it, and the pick is exact: every column
+    Correlations are updated from Gram rows, not recomputed from the
+    residual (Batch-OMP, Rubinstein, Zibulevsky & Elad 2008).  One pass
+    computes beta0 = conj(Y)^T A for every signal.  With S a signal's
+    selected atoms and coef their least-squares coefficients, its residual
+    is r = y - A_S coef, so conj(r)^T A = beta0 - conj(coef) G_S, where G_S
+    stacks the Gram rows g_s = conj(a_s)^T A.  After a pick, a signal waits
+    until the Gram row of the atom it picked is known.  When every running
+    signal waits, one pass computes the missing rows and, for each waiting
+    signal, the rows of its `FETCH_AHEAD` largest correlations that have
+    none yet, its likeliest next picks.  A pass costs little more per row
+    when it is wide, so a call makes a few wide passes instead of one
+    narrow pass per iteration.  The rows live for the call only.
+
+    The correlations run in the dictionary's own precision: complex64 for
+    the preamble dictionaries, whose contiguous columns make the passes
+    fast.  Only the pick reads them, and the pick is exact: every column
     whose correlation lies within a rigorous rounding bound of the largest
-    (`_rounding_bound`) is re-scored in complex128, and the largest
-    re-scored value wins, ties to the lowest index as `np.argmax` breaks
-    them.  So the selections are those of a complex128 correlation of the
-    same column values, whatever the dictionary's dtype or the batch (mixed
+    (`_rounding_bound`) is re-scored in complex128 against the stored
+    residual, and the largest re-scored value wins, ties to the lowest
+    index as `np.argmax` breaks them.  So the selections are those of a
+    complex128 correlation of the same column values, whatever the
+    dictionary's dtype, the batch or the rows fetched ahead (mixed
     precision in the sense of Higham & Mary, Acta Numerica 2022).  Least
     squares and residuals are complex128 throughout.
     """
@@ -99,7 +119,7 @@ def omp_detect_many(
         raise DetectionError("signals must be a 2-D array with one signal per column")
     if ys.shape[0] != a.shape[0]:
         raise DetectionError(f"signal length {ys.shape[0]} != column length {a.shape[0]}")
-    count = ys.shape[1]
+    n, count = ys.shape
     iters = np.broadcast_to(max_iters, (count,))
     thresholds = np.broadcast_to(residual_threshold, (count,))
     states = [
@@ -107,40 +127,81 @@ def omp_detect_many(
     ]
     running = [s for s in states if s.running]
     work = np.result_type(a.dtype, np.complex64)     # complex64 or complex128
-    bound_factor, bound_floor = _rounding_bound(a.shape[0], work, d.max_column_norm)
+    bound = _rounding_bound(n, work, d.max_column_norm)
+    conj_ys = np.empty((len(running), n), dtype=work)
+    for row, state in zip(conj_ys, running):
+        np.conjugate(state.y, out=row)
+    # |conj(r)^T a_j| == |a_j^H r| without a conjugated dictionary copy.
+    for state, beta0 in zip(running, conj_ys @ a):
+        state.beta0 = beta0
+    gram: dict[int, np.ndarray] = {}                  # atom j -> conj(a_j)^T A
     while running:
-        conj_residuals = np.empty((len(running), a.shape[0]), dtype=work)
-        for row, state in zip(conj_residuals, running):
-            np.conjugate(state.residual, out=row)
-        # |conj(r)^T a_j| == |a_j^H r| without a conjugated dictionary copy.
-        corr = np.abs(conj_residuals @ a)
-        for state, c in zip(running, corr):
-            state.step(c, bound_factor * state.res_norm + bound_floor)
-        running = [s for s in running if s.running]
+        waiting = []
+        for state in running:
+            while state.running:
+                if state.selected and state.selected[-1] not in gram:
+                    waiting.append(state)
+                    break
+                delta = bound(len(state.selected), state.y_norm, float(np.abs(state.coef).sum()))
+                state.step(state.correlations(gram), delta)
+        if waiting:
+            # One pass for the rows every waiting signal wants, without repeats.
+            want = dict.fromkeys(j for s in waiting for j in s.wanted(gram))
+            for j, row in zip(want, a[:, list(want)].conj().T @ a):
+                gram[j] = row
+        running = waiting
     return [s.result() for s in states]
 
 
-def _rounding_bound(n: int, dtype, max_norm: float) -> tuple[float, float]:
-    """(factor, floor) with |c_j - s_j| <= factor * ||r|| + floor for every j,
-    where c_j is a correlation |a_j^H r| computed as `omp_detect_many` does
-    in `dtype`, and s_j its complex128 re-score in `_CholeskyOmp._pick`.
+def _rounding_bound(n: int, dtype, max_norm: float) -> Callable[[int, float, float], float]:
+    """The function (k, y_norm, coef_sum) -> delta with |c_j - s_j| <= delta
+    for every column j, where c_j = |beta_j| is a correlation
+    `omp_detect_many` computes in `dtype`, beta = beta0 - conj(coef) G_S
+    with k atoms selected, and s_j its complex128 re-score against the
+    stored residual in `_CholeskyOmp._pick`.
 
-    In `dtype` with unit roundoff u and gamma_k = k u / (1 - k u): rounding
-    r to `dtype` adds at most u |a_j| |r|, the n-term complex dot product in
-    any summation order gamma_(n+2) |a_j| |r|, and `abs` 2u of its result,
-    together at most gamma_(n+5) |a_j| |r|.  The complex128 re-score adds
-    gamma_(n+4) in double precision.  One more unit in each covers computing
-    |a_j| and |r| in double precision, and `floor` covers underflow to
-    `dtype`'s subnormals.  |a_j| is bounded by the largest column norm.
+    n is the column length, M = `max_norm` bounds every column norm, and
+    with y_norm = |y| and coef_sum = sum_s |coef_s|, W = |y| + M coef_sum
+    gives |y|^T |a_j| + sum_s |coef_s| |a_s|^T |a_j| <= M W.  With unit
+    roundoff u of `dtype`, v = 2^-53 and gamma_m(u) = m u / (1 - m u):
+
+    - rounding y to `dtype` adds u, and the n-term complex dot product
+      behind beta0_j, in any summation order, gamma_(n+2): together
+      gamma_(n+3) |y|^T |a_j|;
+    - a Gram entry g_sj, the same product of two stored columns, is within
+      gamma_(n+2) |a_s|^T |a_j|; rounding coef_s to `dtype` adds u, so the
+      term conj(coef_s) g_sj is within gamma_(n+3) |coef_s| |a_s|^T |a_j|;
+    - the (k+1)-term combination beta0_j - sum_s conj(coef_s) g_sj adds
+      gamma_(k+3) of the terms' magnitudes, and `abs` 2u of its result, so
+      c_j is within gamma_(n+k+8)(u) M W of |a_j^H (y - A_S coef)|;
+    - the stored residual r, y - A_S coef computed in complex128, is within
+      gamma_(k+3)(v) (|y| + sum_s |coef_s| |a_s|) of it elementwise, which
+      moves |a_j^H r| by at most gamma_(k+3)(v) M W, and the re-score, an
+      n-term dot product and `abs` in complex128, is within
+      gamma_(n+4)(v) M |r| with |r| <= (1 + gamma_(k+3)(v)) W: together
+      gamma_(n+k+7)(v) M W.
+
+    Four more units in each term cover computing M, |y|, coef_sum and the
+    bound itself in double precision (for n below 10^7), hence
+    gamma_(n+k+12).  The floor covers underflow: fewer than
+    8 (n + k + 12)^2 products can underflow, each by at most `dtype`'s
+    smallest subnormal, and none is scaled by more than
+    (1 + M)^2 (1 + coef_sum) on its way into c_j or s_j.
     """
-    def gamma(k: int, u: float) -> float:
-        return k * u / (1.0 - k * u)
-
     finfo = np.finfo(dtype)
     u = float(finfo.eps) / 2.0
-    factor = (gamma(n + 6, u) + gamma(n + 6, 2.0**-53)) * max_norm
-    floor = n * (max_norm + 4.0) * float(finfo.smallest_subnormal)
-    return factor, floor
+    tiny = float(finfo.smallest_subnormal)
+
+    def gamma(m: int, unit: float) -> float:
+        return m * unit / (1.0 - m * unit)
+
+    def bound(k: int, y_norm: float, coef_sum: float) -> float:
+        m = n + k + 12
+        spread = (gamma(m, u) + gamma(m, 2.0**-53)) * max_norm
+        floor = 8.0 * m * m * (1.0 + max_norm) ** 2 * (1.0 + coef_sum) * tiny
+        return spread * (y_norm + max_norm * coef_sum) + floor
+
+    return bound
 
 
 class _CholeskyOmp:
@@ -159,8 +220,41 @@ class _CholeskyOmp:
         self.coef = np.zeros(0, dtype=complex)
         self.residual = self.y
         self.res_energy = e_y
-        self.res_norm = np.sqrt(e_y)
+        self.y_norm = np.sqrt(e_y)
         self.running = self.max_iters > 0 and e_y > self.stop_energy
+        self.beta0: np.ndarray | None = None        # conj(y)^T A, set by omp_detect_many
+        # G_S: the selected atoms' Gram rows in selection order, grown in
+        # beta0's dtype by `correlations`.
+        self.gram_rows = np.empty((0, a.shape[1]))
+        self.corr: np.ndarray | None = None         # the latest correlations, for `wanted`
+
+    def correlations(self, gram: dict[int, np.ndarray]) -> np.ndarray:
+        """|conj(r)^T A| = |beta0 - conj(coef) G_S| in the dictionary's
+        precision.  Called before each step: G_S gains the row of the latest
+        pick from `gram`, in a buffer that grows FETCH_AHEAD rows at a time,
+        so a step copies one row, not k."""
+        k = len(self.selected)
+        beta = self.beta0
+        if k:
+            if k > len(self.gram_rows):
+                grown = np.empty((min(k + FETCH_AHEAD, self.max_iters), beta.size), beta.dtype)
+                grown[: k - 1] = self.gram_rows[: k - 1]
+                self.gram_rows = grown
+            self.gram_rows[k - 1] = gram[self.selected[-1]]
+            beta = beta - self.coef.conj().astype(beta.dtype) @ self.gram_rows[:k]
+        self.corr = np.abs(beta)
+        return self.corr
+
+    def wanted(self, gram: dict[int, np.ndarray]) -> list[int]:
+        """The latest pick, whose Gram row is missing, then the atoms of the
+        `FETCH_AHEAD` largest latest correlations that are neither selected
+        nor in `gram`."""
+        corr = self.corr
+        corr[self.selected] = -np.inf
+        corr[list(gram)] = -np.inf
+        width = min(FETCH_AHEAD, len(corr))
+        ahead = np.argpartition(corr, len(corr) - width)[len(corr) - width :]
+        return [self.selected[-1], *ahead[corr[ahead] > -np.inf].tolist()]
 
     def _pick(self, corr: np.ndarray, bound: float) -> int:
         """The unselected column with the largest complex128 correlation,
@@ -206,7 +300,6 @@ class _CholeskyOmp:
         self.coef = ztrsv(self.chol[: k + 1, : k + 1], self.z[: k + 1], lower=1, trans=2)
         self.residual = self.y - rows.T @ self.coef
         e_r = energy(self.residual)
-        self.res_norm = np.sqrt(e_r)
         # LS projection cannot increase the residual; clamp float jitter.
         self.res_energy = min(self.res_energy, e_r)
         self.running = k + 1 < self.max_iters and self.res_energy > self.stop_energy

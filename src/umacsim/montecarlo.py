@@ -83,7 +83,8 @@ class PupeCurvePoint:
 
 
 def wilson_interval(failures: int, total: int, z: float = Z_95) -> tuple[float, float]:
-    """95% Wilson score interval for a binomial proportion."""
+    """95% Wilson score interval for a binomial proportion, clamped so that
+    0 <= lo <= failures / total <= hi <= 1 despite rounding in center +- half."""
     if total < 1:
         raise MonteCarloError("total must be >= 1")
     if not 0 <= failures <= total:
@@ -92,7 +93,7 @@ def wilson_interval(failures: int, total: int, z: float = Z_95) -> tuple[float, 
     denom = 1.0 + z * z / total
     center = (p + z * z / (2 * total)) / denom
     half = z * math.sqrt(p * (1.0 - p) / total + z * z / (4 * total * total)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
+    return max(0.0, min(p, center - half)), min(1.0, max(p, center + half))
 
 
 def draw_message(rng: np.random.Generator, bits: int) -> int:
@@ -270,8 +271,8 @@ def estimate_pupe(
     lo, hi = wilson_interval(failed, total)
     return PupeEstimate(
         pupe=failed / total,
-        ci_low=min(lo, failed / total),
-        ci_high=max(hi, failed / total),
+        ci_low=lo,
+        ci_high=hi,
         trials=trials,
         seed=seed,
         failures=failed,

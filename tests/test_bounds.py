@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.stats import norm
 
+import umacsim
 from umacsim.bounds import (
     BoundQuery,
     CurveError,
@@ -143,6 +147,19 @@ class TestMinSnr:
             snr = min_snr_single_user(n, k, eps)
             back = normal_approx_log_m(BoundQuery(n=n, k=k, epsilon=eps, snr=snr))
             assert back == pytest.approx(k, rel=1e-6)
+
+    def test_cli_import_leaves_out_scipy_optimize(self):
+        """Root finding needs no scipy.optimize, whose import would add to
+        every run's start-up."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(umacsim.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, umacsim.cli; print('scipy.optimize' in sys.modules)"],
+            capture_output=True, text=True, env=env, timeout=120, check=True,
+        )
+        assert proc.stdout.strip() == "False"
 
 
 class TestReferenceCurve:

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import json
+import math
 
 import pytest
 import yaml
@@ -263,6 +264,15 @@ class TestRun:
         assert ",4," in out.read_text().splitlines()[1]
 
 
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf])
+    def test_non_finite_trials_scale_rejected(self, tmp_path, scale):
+        c = parse_config(FAST_CONFIG)
+        with pytest.raises(ConfigError, match="finite"):
+            run(c, str(tmp_path / "r.csv"), trials_scale=scale, stream=io.StringIO())
+        # Rejected before any probe could write a checkpoint or the CSV.
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestMain:
     def test_list_presets(self, capsys):
         assert main(["--list-presets"]) == 0
@@ -284,3 +294,14 @@ class TestMain:
         path = tmp_path / "cfg.yaml"
         path.write_text(FAST_CONFIG)
         assert main(["--config", str(path), "--trials-scale", "0"]) == 1
+
+    @pytest.mark.parametrize("scale", ["nan", "inf", "-inf"])
+    def test_non_finite_trials_scale(self, tmp_path, capsys, scale):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(FAST_CONFIG)
+        out = tmp_path / "res.csv"
+        assert main(["--config", str(path), "--out", str(out), f"--trials-scale={scale}"]) == 1
+        assert f"error: --trials-scale must be positive and finite, got {scale}" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from umacsim.channel import complex_noise, energy
 from umacsim.detection import (
+    FETCH_AHEAD,
     DetectionError,
     energy_detect,
     ls_channel_estimate,
@@ -278,6 +279,55 @@ class TestMixedPrecision:
             ref = omp_detect(ys[:, b], wide, max_iters[b], stops[b])
             assert res.indices == ref.indices
             np.testing.assert_allclose(res.coefficients, ref.coefficients, rtol=0, atol=1e-10)
+
+
+@st.composite
+def wide_problems(draw):
+    """(complex64 dictionary, signals as columns, max_iters, thresholds).
+
+    The dictionary is 20 to 40 times wider than `FETCH_AHEAD` and each
+    signal is built on at least `FETCH_AHEAD` atoms, so one call makes
+    several Gram-row passes: a signal waits whenever its pick has no row
+    yet and resumes when a pass brings it, and signals stop at staggered
+    iteration counts.  Some columns have a near-duplicate (1e-7 to 1e-5
+    apart), so the band re-check decides some picks.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = draw(st.integers(2 * FETCH_AHEAD, 64))
+    base = gaussian_dict(rows, draw(st.integers(20 * FETCH_AHEAD, 40 * FETCH_AHEAD)), rng)
+    paired = rng.choice(base.shape[1], draw(st.integers(1, rows)), replace=False)
+    eps = 10.0 ** draw(st.floats(-7.0, -5.0))
+    near = base[:, paired] + eps * gaussian_dict(rows, len(paired), rng)
+    a = np.concatenate([base, near], axis=1).astype(np.complex64, order="F")
+    count = draw(st.integers(2, 6))
+    ys = np.empty((rows, count), dtype=complex)
+    for b in range(count):
+        k = int(rng.integers(FETCH_AHEAD, rows // 2 + 1))
+        support = rng.choice(base.shape[1], k, replace=False)
+        near_tied = min(k, len(paired) // 2)
+        support[:near_tied] = paired[:near_tied]
+        coefs = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        noise_std = draw(st.floats(0.001, 0.1))
+        ys[:, b] = base[:, support] @ coefs + noise_std * complex_noise(rows, 1.0, rng)
+    max_iters = [draw(st.integers(1, rows - 2)) for _ in range(count)]
+    stops = [draw(thresholds) for _ in range(count)]
+    return a, ys, max_iters, stops
+
+
+class TestGramRows:
+    @omp_settings
+    @given(wide_problems())
+    def test_each_signal_matches_complex128_omp(self, problem):
+        """Correlations updated from Gram rows fetched in shared passes pick
+        what a complex128 OMP on one signal at a time picks."""
+        a, ys, max_iters, stops = problem
+        many = omp_detect_many(ys, a, max_iters=max_iters, residual_threshold=stops)
+        wide = a.astype(complex)
+        for b, res in enumerate(many):
+            ref = omp_detect(ys[:, b], wide, max_iters[b], stops[b])
+            assert res.indices == ref.indices
+            np.testing.assert_allclose(res.coefficients, ref.coefficients, rtol=0, atol=1e-10)
+            assert abs(res.residual_energy - ref.residual_energy) <= 1e-10
 
 
 class TestEnergyDetect:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from umacsim import montecarlo
 from umacsim.channel import ChannelModel
@@ -49,6 +51,15 @@ class TestWilson:
             p = failures / total
             assert 0.0 <= lo <= p + 1e-12
             assert p - 1e-12 <= hi <= 1.0
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 3000).flatmap(lambda t: st.tuples(st.integers(0, t), st.just(t))))
+    @example((0, 3))
+    @example((10, 10))
+    def test_interval_contains_estimate(self, case):
+        failures, total = case
+        lo, hi = wilson_interval(failures, total)
+        assert 0.0 <= lo <= failures / total <= hi <= 1.0
 
     def test_coverage_at_p005(self):
         p = 0.05
