@@ -23,7 +23,8 @@ import yaml
 
 from . import __version__
 from .channel import ChannelModel
-from .codec import CodecModel, CodecSpec, SlotSelection, SlottedAlohaConfig
+from .bounds import CurveError, load_reference_curve
+from .codec import CodecModel, CodecSpec, SlottedAlohaConfig
 from .montecarlo import (
     PupeCurvePoint,
     SlottedAlohaExperiment,
@@ -42,33 +43,49 @@ class ConfigError(ValueError):
     pass
 
 
+# Keys that only some configs read -> the scenarios, or the codec model, of
+# the configs that read them.  A scoped key is required where it is read and
+# rejected where it is not.
+_TWO_STEP = ("twostep", "sbidma")
+_SCOPED = {
+    "n_preambles": _TWO_STEP,
+    "preamble_len": _TWO_STEP,
+    "preamble_reps": _TWO_STEP,
+    "preamble_kind": _TWO_STEP,
+    "preamble_power_scale": _TWO_STEP,
+    "pilot_len": _TWO_STEP,
+    "rho": ("sbidma",),
+    "energy_policy": ("sbidma",),
+    "codec_offset_db": (CodecModel.ORACLE_THRESHOLD.value,),
+}
+_OPTIONAL = {"reference_curve_path"}
+# Annotation -> (the YAML values it accepts, their name in an error).
+_YAML_TYPES = {"int": (int, "an integer"), "float": ((int, float), "a number"),
+               "str": (str, "a string")}
+
+
+def _reads(key: str, scenario, codec_model) -> bool:
+    """Whether a config of this scenario and codec model reads `key`."""
+    readers = _SCOPED.get(key)
+    return readers is None or scenario in readers or codec_model in readers
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Flat experiment description; round-trips losslessly through YAML.
 
-    For `slotted_aloha`, n_occasions is the slot count, the channel must be
-    awgn, and the preamble, pilot and energy-policy keys are ignored (but
-    must be present so every config names its full environment).  rho must
-    be 1 unless the scenario is `sbidma`; energy_policy has no effect at
-    rho = 1.
+    Every field is one the config's scenario and codec model read: the
+    fields that default to None are the optional reference curve and the
+    scoped keys of `_SCOPED`.  For `slotted_aloha`, n_occasions is the slot
+    count and the channel must be awgn.
     """
 
     scenario: str
     channel: str
-    n_preambles: int
-    preamble_len: int               # base sequence length
-    preamble_reps: int
-    preamble_kind: str              # zadoff_chu | gaussian
-    preamble_power_scale: float
     n_occasions: int
-    occasion_len: int
-    pilot_len: int
     payload_bits: int
     codeword_bits: int
     codec_model: str                # oracle_threshold | ml_random_gaussian
-    codec_offset_db: float
-    rho: int
-    energy_policy: str              # split_across_copies | per_copy_full
     receiver_mode: str              # tin | tin_sic
     target_pupe: float
     ka_list: tuple[int, ...]
@@ -77,6 +94,15 @@ class ExperimentConfig:
     tol_db: float
     trials_schedule: tuple[int, ...]
     seed: int
+    n_preambles: int | None = None
+    preamble_len: int | None = None         # base sequence length
+    preamble_reps: int | None = None
+    preamble_kind: str | None = None        # zadoff_chu | gaussian
+    preamble_power_scale: float | None = None
+    pilot_len: int | None = None
+    codec_offset_db: float | None = None
+    rho: int | None = None
+    energy_policy: str | None = None        # split_across_copies | per_copy_full
     reference_curve_path: str | None = None
 
     def __post_init__(self):
@@ -90,17 +116,27 @@ class ExperimentConfig:
             ("receiver_mode", ReceiverMode),
         ):
             value = getattr(self, key)
+            if value is None or not _reads(key, self.scenario, self.codec_model):
+                continue    # a missing or unread key is reported below
             try:
                 enum(value)
             except ValueError:
                 raise ConfigError(
                     f"{key}: {value!r} is not one of {[e.value for e in enum]}"
                 ) from None
-        if self.rho != 1 and self.scenario != "sbidma":
-            raise ConfigError(
-                f"rho: only the sbidma scenario repeats packets; {self.scenario} needs 1, "
-                f"got {self.rho}"
-            )
+        for key in _SCOPED:
+            reads = _reads(key, self.scenario, self.codec_model)
+            if reads and getattr(self, key) is None:
+                raise ConfigError(f"{key}: required by a {self.scenario} config")
+            if not reads and getattr(self, key) is not None:
+                raise ConfigError(
+                    f"{key}: not read by a {self.scenario} config with the "
+                    f"{self.codec_model} codec (read by {' and '.join(_SCOPED[key])} only)"
+                )
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type.startswith("float") and value is not None and not math.isfinite(value):
+                raise ConfigError(f"{f.name}: must be finite, got {value}")
         if self.scenario == "slotted_aloha" and self.channel != ChannelModel.AWGN.value:
             raise ConfigError(f"channel: slotted_aloha runs on awgn only, got {self.channel!r}")
         if not 0.0 < self.target_pupe <= 1.0:
@@ -115,21 +151,9 @@ class ExperimentConfig:
             raise ConfigError("trials_schedule: needs at least one positive entry")
         if any(k < 1 for k in self.ka_list):
             raise ConfigError("ka_list: entries must be >= 1")
-        # Frame arithmetic is validated by building the protocol config.
-        try:
-            build_experiment(self)
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-
-
-_INT_TUPLES = {"ka_list", "trials_schedule"}
-_FLOATS = {
-    "preamble_power_scale", "codec_offset_db", "target_pupe",
-    "snr_lo_db", "snr_hi_db", "tol_db",
-}
-_OPTIONAL = {"reference_curve_path"}
+        if self.seed < 0:
+            raise ConfigError(f"seed: must be >= 0, got {self.seed}")
+        build_experiment(self)      # validates the frame arithmetic
 
 
 def _flatten(node, prefix, out):
@@ -139,17 +163,17 @@ def _flatten(node, prefix, out):
         path = f"{prefix}{key}"
         if isinstance(value, dict):
             _flatten(value, f"{path}.", out)
+        elif key in out:
+            raise ConfigError(f"{path}: duplicate key {key!r}")
         else:
-            leaf = key
-            if leaf in out:
-                raise ConfigError(f"{path}: duplicate key {leaf!r}")
-            out[leaf] = (path, value)
+            out[key] = (path, value)
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse a YAML document (flat, or nested into sections) into a config.
 
-    Unknown keys are rejected; every missing required key is listed.
+    Unknown keys are rejected; every missing key that the config's scenario
+    and codec model read is listed.
     """
     try:
         doc = yaml.safe_load(text)
@@ -166,73 +190,63 @@ def parse_config(text: str) -> ExperimentConfig:
     unknown = sorted(set(flat) - known)
     if unknown:
         raise ConfigError(f"unknown keys: {', '.join(unknown)}")
-    missing = sorted(known - set(flat) - _OPTIONAL)
+    scenario, codec_model = (flat.get(k, (None, None))[1] for k in ("scenario", "codec_model"))
+    missing = sorted(
+        k for k in known - set(flat) - _OPTIONAL if _reads(k, scenario, codec_model)
+    )
     if missing:
-        raise ConfigError(f"missing required keys: {', '.join(missing)}")
+        which = f" for {scenario}" if scenario in SCENARIOS else ""
+        raise ConfigError(f"missing required keys{which}: {', '.join(missing)}")
 
     kwargs = {}
-    for name in known:
-        if name not in flat:
-            continue
-        path, value = flat[name]
-        if name in _INT_TUPLES:
+    for name, (path, value) in flat.items():
+        annotation = ExperimentConfig.__dataclass_fields__[name].type
+        if annotation == "tuple[int, ...]":
             if not isinstance(value, list) or not all(
                 isinstance(v, int) and not isinstance(v, bool) for v in value
             ):
                 raise ConfigError(f"{path}: expected a list of integers, got {value!r}")
-            kwargs[name] = tuple(value)
-        elif name in _FLOATS:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"{path}: expected a number, got {value!r}")
-            kwargs[name] = float(value)
-        elif name in _OPTIONAL:
-            if value is not None and not isinstance(value, str):
-                raise ConfigError(f"{path}: expected a string path, got {value!r}")
-            kwargs[name] = value
-        else:
-            field_type = ExperimentConfig.__dataclass_fields__[name].type
-            if "int" in field_type:
-                if isinstance(value, bool) or not isinstance(value, int):
-                    raise ConfigError(f"{path}: expected an integer, got {value!r}")
-                kwargs[name] = value
-            else:
-                if not isinstance(value, str):
-                    raise ConfigError(f"{path}: expected a string, got {value!r}")
-                kwargs[name] = value
+            value = tuple(value)
+        elif not (value is None and name in _OPTIONAL):
+            kind = annotation.split(" | ")[0]
+            accepted, what = _YAML_TYPES[kind]
+            if isinstance(value, bool) or not isinstance(value, accepted):
+                raise ConfigError(f"{path}: expected {what}, got {value!r}")
+            if kind == "float":
+                try:
+                    value = float(value)
+                except OverflowError:
+                    raise ConfigError(f"{path}: must be finite, got {value}") from None
+        kwargs[name] = value
     return ExperimentConfig(**kwargs)
 
 
 def serialize_config(config: ExperimentConfig) -> str:
-    data = asdict(config)
+    data = {k: v for k, v in asdict(config).items() if v is not None}
     data["ka_list"] = list(config.ka_list)
     data["trials_schedule"] = list(config.trials_schedule)
-    if data["reference_curve_path"] is None:
-        del data["reference_curve_path"]
     return yaml.safe_dump(data, sort_keys=True)
 
 
 def build_experiment(config: ExperimentConfig):
-    """Instantiate the runnable experiment described by the config."""
-    codec = CodecSpec(
-        codeword_bits=config.codeword_bits,
-        payload_bits=config.payload_bits,
-        model=CodecModel(config.codec_model),
-        offset_db=config.codec_offset_db,
-    )
-    receiver = ReceiverMode(config.receiver_mode)
-    if config.scenario == "slotted_aloha":
-        sa = SlottedAlohaConfig(
-            slots=config.n_occasions,
-            codec=codec,
-            slot_selection=SlotSelection.UNIFORM_RANDOM,
-        )
-        if sa.slot_len != config.occasion_len:
-            raise ConfigError(
-                f"occasion_len: slot length is codeword_bits/2 = {sa.slot_len}, "
-                f"got {config.occasion_len}"
-            )
-        return SlottedAlohaExperiment(config=sa, receiver=receiver)
+    """Instantiate the runnable experiment described by the config; a
+    ConfigError names what cannot be built."""
     try:
+        # The ML codec reads no offset; its spec keeps CodecSpec's default.
+        offset = {} if config.codec_offset_db is None else {"offset_db": config.codec_offset_db}
+        codec = CodecSpec(
+            codeword_bits=config.codeword_bits,
+            payload_bits=config.payload_bits,
+            model=CodecModel(config.codec_model),
+            **offset,
+        )
+        receiver = ReceiverMode(config.receiver_mode)
+        if config.scenario == "slotted_aloha":
+            sa = SlottedAlohaConfig(slots=config.n_occasions, codec=codec)
+            return SlottedAlohaExperiment(config=sa, receiver=receiver)
+        repetition = {}
+        if config.scenario == "sbidma":
+            repetition = dict(rho=config.rho, energy_policy=EnergyPolicy(config.energy_policy))
         preamble = PreambleSpec(
             size=config.n_preambles,
             base_length=config.preamble_len,
@@ -243,16 +257,14 @@ def build_experiment(config: ExperimentConfig):
         proto = TwoStepConfig(
             preamble=preamble,
             n_occasions=config.n_occasions,
-            occasion_len=config.occasion_len,
             codec=codec,
             pilot_len=config.pilot_len,
             channel_model=ChannelModel(config.channel),
-            rho=config.rho,
-            energy_policy=EnergyPolicy(config.energy_policy),
+            **repetition,
         )
+        return TwoStepExperiment(config=proto, receiver=receiver)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return TwoStepExperiment(config=proto, receiver=receiver)
 
 
 def ebn0_db(config: ExperimentConfig, snr_db: float) -> float:
@@ -326,11 +338,19 @@ def run(
     """Execute the sweep, write the CSV, print a summary; returns exit code.
 
     Raises ConfigError, before any probe or checkpoint, unless `trials_scale`
-    is positive and finite.
+    is positive and finite and the reference curve, if any, loads.
     """
     if not (math.isfinite(trials_scale) and trials_scale > 0):
         raise ConfigError(f"--trials-scale must be positive and finite, got {trials_scale}")
+    reference = None
+    if config.reference_curve_path is not None:
+        try:
+            reference = load_reference_curve(config.reference_curve_path)
+        except (CurveError, OSError) as exc:
+            raise ConfigError(f"reference_curve_path: {exc}") from None
     seed = config.seed if seed is None else seed
+    if seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {seed}")
     schedule = _scale_schedule(config.trials_schedule, trials_scale)
     experiment = build_experiment(config)
     digest = _config_digest(config, seed, trials_scale)
@@ -378,12 +398,6 @@ def run(
     write_csv(points, out_path)
     if os.path.exists(ckpt_path):
         os.remove(ckpt_path)
-
-    reference = None
-    if config.reference_curve_path:
-        from .bounds import load_reference_curve
-
-        reference = load_reference_curve(config.reference_curve_path)
 
     print(f"# {config.scenario} on {config.channel}, target PUPE {config.target_pupe:g}, "
           f"seed {seed}", file=stream)

@@ -1,5 +1,4 @@
-"""Pluggable inner-code models, the slotted-Aloha frame geometry and its
-payload-hash slot choice.
+"""Pluggable inner-code models and the slotted-Aloha frame geometry.
 
 Two codec models replace the standard LDPC / polar codecs:
 
@@ -16,7 +15,6 @@ Two codec models replace the standard LDPC / polar codecs:
 """
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -30,11 +28,6 @@ from .bounds import min_snr_single_user
 class CodecModel(str, Enum):
     ORACLE_THRESHOLD = "oracle_threshold"
     ML_RANDOM_GAUSSIAN = "ml_random_gaussian"
-
-
-class SlotSelection(str, Enum):
-    UNIFORM_RANDOM = "uniform_random"
-    PAYLOAD_HASH = "payload_hash"
 
 
 class CodecError(ValueError):
@@ -53,7 +46,6 @@ class CodecSpec:
     payload_bits: int         # k
     model: CodecModel = CodecModel.ORACLE_THRESHOLD
     offset_db: float = 1.6    # surrogate loss over the normal approximation
-    codebook_seed: int = 0
 
     def __post_init__(self):
         if self.codeword_bits < 2 or self.codeword_bits % 2:
@@ -76,7 +68,6 @@ class CodecSpec:
 class SlottedAlohaConfig:
     slots: int
     codec: CodecSpec
-    slot_selection: SlotSelection = SlotSelection.UNIFORM_RANDOM
 
     def __post_init__(self):
         if self.slots < 1:
@@ -108,7 +99,7 @@ def decode_threshold(spec: CodecSpec) -> float:
 @lru_cache(maxsize=16)
 def _ml_codebook_unit(spec: CodecSpec) -> np.ndarray:
     """Unit-power Gaussian codebook, shape (complex_uses, 2^k)."""
-    rng = np.random.default_rng(np.random.SeedSequence(spec.codebook_seed))
+    rng = np.random.default_rng(np.random.SeedSequence(0))
     n, m = spec.complex_uses, spec.n_messages
     cols = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
     cols *= math.sqrt(n) / np.linalg.norm(cols, axis=0)
@@ -122,7 +113,7 @@ _QPSK = np.exp(1j * np.pi * (2 * np.arange(4) + 1) / 4)
 def _oracle_codeword_unit(spec: CodecSpec, message: int) -> np.ndarray:
     # entropy as a list of ints supports arbitrary-size messages (k up to 100).
     rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=[spec.codebook_seed, message])
+        np.random.SeedSequence(entropy=[0, message])
     )
     return _QPSK[rng.integers(0, 4, size=spec.complex_uses)]
 
@@ -130,7 +121,7 @@ def _oracle_codeword_unit(spec: CodecSpec, message: int) -> np.ndarray:
 def encode(spec: CodecSpec, message: int, power: float = 1.0) -> np.ndarray:
     """Map a message to its complex codeword with per-sample power `power`.
 
-    Encoding is deterministic in (codebook_seed, message); distinct messages
+    Encoding is deterministic in the message; distinct messages
     give distinct codewords with overwhelming probability for the oracle
     model and exactly for the Gaussian codebook.
     """
@@ -165,10 +156,3 @@ def decode(
     book = _ml_codebook_unit(spec) * gain
     dist = np.linalg.norm(observed[:, None] - book, axis=0)
     return True, int(np.argmin(dist))
-
-
-def hash_slot(message: int, payload_bits: int, slots: int) -> int:
-    """Stable cross-process payload-to-slot hash."""
-    digest = hashlib.sha256(f"{payload_bits}:{message}".encode()).digest()
-    return int.from_bytes(digest[:8], "big") % slots
-

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelModel, complex_noise
-from .codec import SlotSelection, SlottedAlohaConfig, encode, hash_slot
+from .codec import SlottedAlohaConfig, encode
 from .protocols import (
     ReceiverMode,
     TransmissionRecord,
@@ -172,11 +172,7 @@ class SlottedAlohaExperiment:
         placements = []
         for _ in range(ka):
             msg = draw_message(rng, cfg.codec.payload_bits)
-            if cfg.slot_selection is SlotSelection.PAYLOAD_HASH:
-                slot = hash_slot(msg, cfg.codec.payload_bits, cfg.slots)
-            else:
-                slot = int(rng.integers(0, cfg.slots))
-            placements.append((msg, slot))
+            placements.append((msg, int(rng.integers(0, cfg.slots))))
         y = complex_noise(cfg.frame_len, self.noise_power, rng)
         for msg, slot in placements:
             y[slot * cfg.slot_len : (slot + 1) * cfg.slot_len] += encode(
@@ -305,6 +301,8 @@ def min_snr_for_pupe(
     feasibility decision at snr_hi uses the finest count.  Returns a point
     with min_snr_db None when even snr_hi misses the target.
     """
+    if not (math.isfinite(snr_lo) and math.isfinite(snr_hi)):
+        raise MonteCarloError(f"snr_lo and snr_hi must be finite, got {snr_lo}, {snr_hi}")
     if snr_lo >= snr_hi:
         raise MonteCarloError(f"need snr_lo < snr_hi, got {snr_lo} >= {snr_hi}")
     if not trials_schedule:

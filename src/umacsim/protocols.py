@@ -88,7 +88,6 @@ class TwoStepConfig:
 
     preamble: PreambleSpec
     n_occasions: int
-    occasion_len: int
     codec: CodecSpec
     pilot_len: int = 0
     channel_model: ChannelModel = ChannelModel.AWGN
@@ -98,6 +97,8 @@ class TwoStepConfig:
     def __post_init__(self):
         if self.n_occasions < 1:
             raise ProtocolError(f"n_occasions must be >= 1, got {self.n_occasions}")
+        if self.pilot_len < 0:
+            raise ProtocolError(f"pilot_len must be >= 0, got {self.pilot_len}")
         if not 1 <= self.rho <= self.n_occasions:
             raise ProtocolError(f"rho must be in [1, {self.n_occasions}], got {self.rho}")
         # The ML codec decodes a single occasion's samples, so it cannot
@@ -106,16 +107,16 @@ class TwoStepConfig:
             raise ProtocolError(
                 f"the ML codec decodes one copy only and needs rho = 1, got {self.rho}"
             )
-        if self.occasion_len != self.pilot_len + self.codec.complex_uses:
-            raise ProtocolError(
-                f"occasion_len {self.occasion_len} != pilot_len {self.pilot_len} "
-                f"+ codeword uses {self.codec.complex_uses}"
-            )
         if self.rho == 1 and self.preamble.size < self.n_occasions:
             raise ProtocolError(
                 "rho = 1 needs n_preambles >= n_occasions "
                 f"({self.preamble.size} < {self.n_occasions})"
             )
+
+    @property
+    def occasion_len(self) -> int:
+        """An occasion holds the pilot and then the codeword."""
+        return self.pilot_len + self.codec.complex_uses
 
     @property
     def preamble_region_len(self) -> int:

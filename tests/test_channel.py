@@ -30,7 +30,7 @@ ML8 = CodecSpec(codeword_bits=128, payload_bits=8, model=CodecModel.ML_RANDOM_GA
 def small_cfg(model=ChannelModel.AWGN, pilot_len=0):
     return TwoStepConfig(
         preamble=PreambleSpec(size=8, base_length=31, repetitions=2),
-        n_occasions=8, occasion_len=64 + pilot_len, codec=ML8,
+        n_occasions=8, codec=ML8,
         pilot_len=pilot_len, channel_model=model,
     )
 

@@ -5,7 +5,10 @@ import math
 
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from umacsim import cli
 from umacsim.cli import (
     CSV_HEADER,
     ConfigError,
@@ -18,24 +21,16 @@ from umacsim.cli import (
     run,
     serialize_config,
 )
+from umacsim.montecarlo import estimate_pupe
 
 FAST_CONFIG = """
 scenario: slotted_aloha
 channel: awgn
-n_preambles: 4
-preamble_len: 7
-preamble_reps: 1
-preamble_kind: zadoff_chu
-preamble_power_scale: 1.0
 n_occasions: 4
-occasion_len: 8
-pilot_len: 0
 payload_bits: 4
 codeword_bits: 16
 codec_model: oracle_threshold
 codec_offset_db: 1.6
-rho: 1
-energy_policy: split_across_copies
 receiver_mode: tin
 target_pupe: 0.1
 ka_list: [1]
@@ -45,6 +40,18 @@ tol_db: 0.5
 trials_schedule: [20, 40]
 seed: 7
 """
+
+# scoped key -> (a preset that reads it, a preset that does not)
+SCOPES = {
+    **{
+        key: ("sbidma_rayleigh_1024", "slotted_aloha_mini")
+        for key in ("n_preambles", "preamble_len", "preamble_reps", "preamble_kind",
+                    "preamble_power_scale", "pilot_len")
+    },
+    "rho": ("sbidma_rayleigh_1024", "twostep_rayleigh_64"),
+    "energy_policy": ("sbidma_rayleigh_1024", "twostep_rayleigh_64"),
+    "codec_offset_db": ("twostep_rayleigh_64", "twostep_awgn_mini"),
+}
 
 
 class TestPresets:
@@ -59,7 +66,8 @@ class TestPresets:
     def test_baseline_preset_parameters(self):
         c = load_preset("twostep_awgn_baseline")
         assert (c.n_preambles, c.preamble_len, c.preamble_reps) == (64, 139, 2)
-        assert (c.n_occasions, c.occasion_len) == (64, 250)
+        assert c.n_occasions == 64
+        assert build_experiment(c).config.occasion_len == 250
         assert (c.codeword_bits, c.payload_bits) == (500, 100)
         assert c.target_pupe == 0.05
         assert build_experiment(c).config.frame_len == 16278
@@ -100,6 +108,10 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="seed"):
             parse_config(bad)
 
+    def test_integer_beyond_float_range_rejected(self):
+        with pytest.raises(ConfigError, match="tol_db: must be finite"):
+            parse_config(FAST_CONFIG.replace("tol_db: 0.5", f"tol_db: {10**400}"))
+
     def test_nested_sections_allowed(self):
         flat = parse_config(FAST_CONFIG)
         doc = yaml.safe_load(FAST_CONFIG)
@@ -111,18 +123,56 @@ class TestParseConfig:
         assert parse_config(yaml.safe_dump(nested)) == flat
 
     def test_invariant_violation_reported(self):
-        bad = FAST_CONFIG.replace("occasion_len: 8", "occasion_len: 9")
-        with pytest.raises(ConfigError):
+        # QPSK needs an even codeword length; the codec spec rejects 15 bits.
+        bad = FAST_CONFIG.replace("codeword_bits: 16", "codeword_bits: 15")
+        with pytest.raises(ConfigError, match="codeword_bits"):
             parse_config(bad)
 
     def test_rho_other_than_one_needs_sbidma(self):
-        # Only sbidma repeats packets; elsewhere rho 2 would be run as rho 1.
+        # Only sbidma repeats packets: no other scenario reads rho.
         sbidma = load_preset("sbidma_rayleigh_1024")
         assert sbidma.rho == 2
-        with pytest.raises(ConfigError, match="rho"):
+        with pytest.raises(ConfigError, match="rho: not read by a twostep config"):
             dataclasses.replace(sbidma, scenario="twostep")
-        with pytest.raises(ConfigError, match="rho"):
-            parse_config(FAST_CONFIG.replace("rho: 1", "rho: 2"))
+        with pytest.raises(ConfigError, match="rho: not read by a slotted_aloha config"):
+            parse_config(FAST_CONFIG + "rho: 1\n")
+
+    def test_occasion_len_is_not_a_key(self):
+        with pytest.raises(ConfigError, match="unknown keys: occasion_len"):
+            parse_config(FAST_CONFIG + "occasion_len: 8\n")
+
+    def test_missing_keys_listed_per_scenario(self):
+        doc = yaml.safe_load(serialize_config(load_preset("sbidma_tuned")))
+        for key in ("pilot_len", "rho", "seed"):
+            del doc[key]
+        with pytest.raises(
+            ConfigError, match="missing required keys for sbidma: pilot_len, rho, seed$"
+        ):
+            parse_config(yaml.safe_dump(doc))
+
+    @pytest.mark.parametrize("key", sorted(cli._SCOPED))
+    def test_scoped_key_required_in_scope_and_rejected_outside(self, key):
+        reader, other = SCOPES[key]
+        doc = yaml.safe_load(serialize_config(load_preset(reader)))
+        value = doc.pop(key)
+        scenario = doc["scenario"]
+        with pytest.raises(ConfigError, match=f"missing required keys for {scenario}: {key}$"):
+            parse_config(yaml.safe_dump(doc))
+        doc = yaml.safe_load(serialize_config(load_preset(other)))
+        doc[key] = value
+        with pytest.raises(ConfigError, match=f"{key}: not read by a {doc['scenario']} config"):
+            parse_config(yaml.safe_dump(doc))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "key", [f.name for f in dataclasses.fields(ExperimentConfig) if f.type.startswith("float")]
+    )
+    def test_non_finite_float_rejected(self, key, value):
+        # -inf for snr_lo_db used to bisect forever, nan to report 40 dB.
+        doc = yaml.safe_load(serialize_config(load_preset("twostep_rayleigh_64")))
+        doc[key] = value
+        with pytest.raises(ConfigError, match=f"{key}: must be finite"):
+            parse_config(yaml.safe_dump(doc))
 
     @pytest.mark.parametrize("tol", ["0", "-1"])
     def test_non_positive_tol_db_rejected(self, tol):
@@ -272,6 +322,106 @@ class TestRun:
         # Rejected before any probe could write a checkpoint or the CSV.
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "content", [None, "ka,snr\n1,2\n", "ka,snr_db\n1,x\n", "ka,snr_db\n"],
+        ids=["missing", "bad_header", "non_numeric", "no_rows"],
+    )
+    def test_bad_reference_curve_rejected_before_any_probe(
+        self, tmp_path, monkeypatch, content
+    ):
+        curve = tmp_path / "ref.csv"
+        if content is not None:
+            curve.write_text(content)
+        c = dataclasses.replace(parse_config(FAST_CONFIG), reference_curve_path=str(curve))
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("a probe ran")
+
+        monkeypatch.setattr(cli, "run_sweep", no_sweep)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        with pytest.raises(ConfigError, match="reference_curve_path"):
+            run(c, str(out_dir / "r.csv"), stream=io.StringIO())
+        assert list(out_dir.iterdir()) == []
+
+    def test_reference_curve_in_summary(self, tmp_path):
+        curve = tmp_path / "ref.csv"
+        curve.write_text("ka,snr_db\n1,3.25\n")
+        c = dataclasses.replace(parse_config(FAST_CONFIG), reference_curve_path=str(curve))
+        buf = io.StringIO()
+        assert run(c, str(tmp_path / "r.csv"), stream=buf) == 0
+        assert "3.25" in buf.getvalue().splitlines()[2]
+
+
+class TestProperties:
+    # One preset per scenario and codec, so every scoped key is drawn.
+    PRESETS = ("slotted_aloha_mini", "twostep_awgn_mini", "twostep_rayleigh_64",
+               "sbidma_rayleigh_1024")
+
+    @staticmethod
+    @st.composite
+    def configs(draw):
+        base = load_preset(draw(st.sampled_from(TestProperties.PRESETS)))
+        finite = dict(allow_nan=False, allow_infinity=False)
+        lo = draw(st.floats(-60.0, 30.0, **finite))
+        change = dict(
+            receiver_mode=draw(st.sampled_from(["tin", "tin_sic"])),
+            target_pupe=draw(st.floats(0.0, 1.0, exclude_min=True)),
+            ka_list=tuple(draw(st.lists(st.integers(1, 500), min_size=1, max_size=4))),
+            snr_lo_db=lo,
+            snr_hi_db=lo + draw(st.floats(1e-3, 40.0)),
+            tol_db=draw(st.floats(0.0, 5.0, exclude_min=True)),
+            trials_schedule=tuple(draw(st.lists(st.integers(1, 10**6), min_size=1, max_size=4))),
+            seed=draw(st.integers(0, 2**63)),
+            reference_curve_path=draw(st.none() | st.text(max_size=12)),
+        )
+        if base.codec_offset_db is not None:
+            change["codec_offset_db"] = draw(st.floats(-10.0, 10.0, **finite))
+        if base.preamble_power_scale is not None:
+            change["preamble_power_scale"] = draw(st.floats(1e-3, 10.0))
+        if base.rho is not None:
+            change["rho"] = draw(st.integers(1, 3))
+            change["energy_policy"] = draw(
+                st.sampled_from(["split_across_copies", "per_copy_full"])
+            )
+        return dataclasses.replace(base, **change)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(configs())
+    def test_round_trip(self, config):
+        assert parse_config(serialize_config(config)) == config
+
+    DELETE = object()
+    VALUES = st.one_of(
+        st.just(DELETE),
+        st.integers(-3, 70),
+        st.floats(-100.0, 100.0),
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+        st.text(max_size=8),
+        st.sampled_from(["awgn", "rayleigh", "tin_sic", "gaussian", "per_copy_full",
+                         "ml_random_gaussian", "oracle_threshold", "sbidma", "twostep"]),
+        st.lists(st.integers(-2, 4), max_size=3),
+    )
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        preset=st.sampled_from(["slotted_aloha_mini", "twostep_awgn_mini"]),
+        key=st.sampled_from(sorted(f.name for f in dataclasses.fields(ExperimentConfig))),
+        value=VALUES,
+    )
+    @example(preset="slotted_aloha_mini", key="seed", value=-1)  # crashed the first probe
+    def test_fuzzed_key_rejected_or_runs(self, preset, key, value):
+        doc = yaml.safe_load(serialize_config(load_preset(preset)))
+        if value is self.DELETE:
+            doc.pop(key, None)
+        else:
+            doc[key] = value
+        try:
+            config = parse_config(yaml.safe_dump(doc))
+        except ConfigError:
+            return
+        estimate_pupe(build_experiment(config), 1, config.snr_lo_db, 1, config.seed)
+
 
 class TestMain:
     def test_list_presets(self, capsys):
@@ -289,6 +439,14 @@ class TestMain:
     def test_missing_file_error(self, capsys):
         assert main(["--config", "/does/not/exist.yaml"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_negative_seed_override(self, tmp_path, capsys):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(FAST_CONFIG)
+        out = tmp_path / "res.csv"
+        assert main(["--config", str(path), "--out", str(out), "--seed", "-1"]) == 1
+        assert "error: --seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_trials_scale(self, tmp_path, capsys):
         path = tmp_path / "cfg.yaml"

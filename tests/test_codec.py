@@ -12,12 +12,10 @@ from umacsim.codec import (
     CodecError,
     CodecModel,
     CodecSpec,
-    SlotSelection,
     SlottedAlohaConfig,
     decode,
     decode_threshold,
     encode,
-    hash_slot,
 )
 from umacsim.montecarlo import SlottedAlohaExperiment
 from umacsim.protocols import slotted_aloha_receive
@@ -95,7 +93,7 @@ class TestMlDecode:
     def test_against_independent_brute_force(self):
         # Independent exhaustive ML: rebuild the codebook from the same seed
         # and argmin Euclidean distance directly.
-        rng = np.random.default_rng(np.random.SeedSequence(ML8.codebook_seed))
+        rng = np.random.default_rng(np.random.SeedSequence(0))
         n, m = 64, 256
         book = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
         book *= math.sqrt(n) / np.linalg.norm(book, axis=0)
@@ -167,14 +165,6 @@ class TestSlottedAloha:
                 else:
                     assert np.all(blocks[i] == 0)
 
-    def test_payload_hash_deterministic(self, monkeypatch):
-        cfg = SlottedAlohaConfig(slots=64, codec=ML8, slot_selection=SlotSelection.PAYLOAD_HASH)
-        slots = {}
-        for _, genie, _ in self.frames(monkeypatch, cfg, 10, 0.0, range(40)):
-            for msg, slot in genie:
-                assert slots.setdefault(msg, slot) == slot == hash_slot(msg, 8, 64)
-        assert len(slots) < 400     # messages recur across trials and rngs
-
     def test_codebook_size(self):
         # Eb/N0 counts log2 |codebook| = log2(L 2^k) bits: k alone for one slot.
         mini = load_preset("slotted_aloha_mini")     # 64 slots of 64 uses, k = 8
@@ -188,7 +178,7 @@ class TestSlottedAloha:
         # The codebook holds L 2^k words: Eb/N0 counts k + log2 L = 106 bits.
         config = dataclasses.replace(
             load_preset("slotted_aloha_mini"),
-            payload_bits=100, codeword_bits=500, occasion_len=250,
+            payload_bits=100, codeword_bits=500,
         )
         expected = 10 * math.log10(64 * 250 / (2 * 106.0))
         assert ebn0_db(config, 0.0) == pytest.approx(expected, abs=1e-12)

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from umacsim import montecarlo
 from umacsim.channel import ChannelModel
-from umacsim.codec import CodecModel, CodecSpec, SlotSelection, SlottedAlohaConfig, hash_slot
+from umacsim.codec import CodecModel, CodecSpec, SlottedAlohaConfig
 from umacsim.montecarlo import (
     TRIAL_BATCH,
     MonteCarloError,
@@ -24,7 +23,6 @@ from umacsim.protocols import (
     PreambleSpec,
     ReceiverMode,
     TwoStepConfig,
-    slotted_aloha_receive,
 )
 from umacsim.sequences import DictionaryKind
 
@@ -35,7 +33,7 @@ ML8 = CodecSpec(codeword_bits=128, payload_bits=8, model=CodecModel.ML_RANDOM_GA
 def baseline_experiment(**over):
     cfg = TwoStepConfig(
         preamble=PreambleSpec(size=64, base_length=139, repetitions=2),
-        n_occasions=64, occasion_len=250, codec=ORACLE,
+        n_occasions=64, codec=ORACLE,
         pilot_len=0, channel_model=ChannelModel.AWGN,
     )
     return TwoStepExperiment(config=cfg, **over)
@@ -123,7 +121,7 @@ class TestEstimatePupe:
         # 16+3 and 16+2, and run_trial as 37 batches of one.
         cfg = TwoStepConfig(
             preamble=PreambleSpec(size=96, base_length=48, kind=DictionaryKind.GAUSSIAN),
-            n_occasions=12, occasion_len=120,
+            n_occasions=12,
             codec=CodecSpec(codeword_bits=200, payload_bits=100), pilot_len=20,
             channel_model=ChannelModel.RAYLEIGH, rho=2,
         )
@@ -200,6 +198,15 @@ class TestMinSnrSearch:
         with pytest.raises(MonteCarloError, match="tol_db"):
             min_snr_for_pupe(NoTrials(), 1, 0.05, -5.0, 50.0, seed=1, tol_db=tol_db)
 
+    @pytest.mark.parametrize(
+        "snr_lo, snr_hi",
+        [(-math.inf, 10.0), (math.nan, 10.0), (0.0, math.inf), (0.0, math.nan)],
+    )
+    def test_non_finite_bracket_rejected(self, snr_lo, snr_hi):
+        # A -inf midpoint stays -inf, so that bisection never ended.
+        with pytest.raises(MonteCarloError, match="finite"):
+            min_snr_for_pupe(baseline_experiment(), 1, 0.05, snr_lo, snr_hi, seed=1)
+
 
 class TestRunSweep:
     def test_empty_list(self):
@@ -223,35 +230,6 @@ class TestRunSweep:
         fwd = run_sweep(exp, [1, 2], 0.05, -10.0, 10.0, seed=8, trials_schedule=(30, 60))
         rev = run_sweep(exp, [2, 1], 0.05, -10.0, 10.0, seed=8, trials_schedule=(30, 60))
         assert sorted(map(repr, fwd)) == sorted(map(repr, rev))
-
-
-class TestSlotSelection:
-    CODEC = CodecSpec(codeword_bits=64, payload_bits=8)
-
-    def placements(self, monkeypatch, selection, seed):
-        seen = []
-
-        def spy(y, cfg, mode, genie, *args, **kwargs):
-            seen.extend(genie)
-            return slotted_aloha_receive(y, cfg, mode, genie, *args, **kwargs)
-
-        monkeypatch.setattr(montecarlo, "slotted_aloha_receive", spy)
-        cfg = SlottedAlohaConfig(slots=64, codec=self.CODEC, slot_selection=selection)
-        SlottedAlohaExperiment(config=cfg).run_trial(5, 40.0, np.random.default_rng(seed))
-        return seen
-
-    def test_payload_hash_places_by_message_without_rng_draws(self, monkeypatch):
-        for seed in range(20):
-            seen = self.placements(monkeypatch, SlotSelection.PAYLOAD_HASH, seed)
-            rng = np.random.default_rng(seed)
-            assert [m for m, _ in seen] == [draw_message(rng, 8) for _ in range(5)]
-            assert all(slot == hash_slot(m, 8, 64) for m, slot in seen)
-
-    def test_uniform_random_ignores_the_hash(self, monkeypatch):
-        seen = []
-        for seed in range(20):
-            seen += self.placements(monkeypatch, SlotSelection.UNIFORM_RANDOM, seed)
-        assert any(slot != hash_slot(m, 8, 64) for m, slot in seen)
 
 
 class TestClashAccounting:

@@ -30,7 +30,7 @@ ML8 = CodecSpec(codeword_bits=128, payload_bits=8, model=CodecModel.ML_RANDOM_GA
 def awgn_cfg(**over):
     base = dict(
         preamble=PreambleSpec(size=64, base_length=139, repetitions=2),
-        n_occasions=64, occasion_len=250, codec=ORACLE,
+        n_occasions=64, codec=ORACLE,
         pilot_len=0, channel_model=ChannelModel.AWGN,
     )
     base.update(over)
@@ -40,7 +40,7 @@ def awgn_cfg(**over):
 def fading_cfg(**over):
     base = dict(
         preamble=PreambleSpec(size=64, base_length=139, repetitions=2),
-        n_occasions=64, occasion_len=300, codec=ORACLE,
+        n_occasions=64, codec=ORACLE,
         pilot_len=50, channel_model=ChannelModel.RAYLEIGH,
     )
     base.update(over)
@@ -95,7 +95,7 @@ class TestConfigs:
         cfg = TwoStepConfig(
             preamble=PreambleSpec(size=8192, base_length=1778, repetitions=1,
                                   kind=DictionaryKind.GAUSSIAN, power_scale=1 / 12),
-            n_occasions=59, occasion_len=300, codec=ORACLE, pilot_len=50,
+            n_occasions=59, codec=ORACLE, pilot_len=50,
             channel_model=ChannelModel.RAYLEIGH, rho=2,
         )
         assert cfg.frame_len == 19478
@@ -108,19 +108,25 @@ class TestConfigs:
         assert cfg.map_preamble(70) == ((6,), 1)
 
     def test_occasion_arithmetic_checked(self):
-        with pytest.raises(ProtocolError):
+        # An occasion is the pilot followed by the codeword; it is derived,
+        # not set, so it cannot disagree with them.
+        assert awgn_cfg().occasion_len == 250
+        assert fading_cfg().occasion_len == 300
+        with pytest.raises(TypeError):
             awgn_cfg(occasion_len=251)
+        with pytest.raises(ProtocolError, match="pilot_len"):
+            fading_cfg(pilot_len=-7)
 
     def test_rho_bounds(self):
         with pytest.raises(ProtocolError):
             TwoStepConfig(
                 preamble=PreambleSpec(size=64, base_length=139, repetitions=2),
-                n_occasions=64, occasion_len=250, codec=ORACLE, rho=65,
+                n_occasions=64, codec=ORACLE, rho=65,
             )
 
     def test_ml_codec_needs_single_copy(self):
         kw = dict(preamble=PreambleSpec(size=8, base_length=31, repetitions=2),
-                  n_occasions=8, occasion_len=64, codec=ML8)
+                  n_occasions=8, codec=ML8)
         with pytest.raises(ProtocolError, match="ML codec"):
             TwoStepConfig(rho=2, **kw)
         assert TwoStepConfig(rho=1, **kw).rho == 1
@@ -147,12 +153,12 @@ class TestEncode:
         assert user.pilot_index == 200 // 64
 
     def test_sbidma_rho1_reduces_to_twostep(self):
-        ts = awgn_cfg(codec=ML8, occasion_len=64,
+        ts = awgn_cfg(codec=ML8,
                       preamble=PreambleSpec(size=8, base_length=31, repetitions=2),
                       n_occasions=8, energy_policy=EnergyPolicy.PER_COPY_FULL)
         sb = TwoStepConfig(
             preamble=PreambleSpec(size=8, base_length=31, repetitions=2),
-            n_occasions=8, occasion_len=64, codec=ML8, rho=1,
+            n_occasions=8, codec=ML8, rho=1,
             energy_policy=EnergyPolicy.SPLIT_ACROSS_COPIES,
         )
         f1, u1 = encode_frame(ts, 5, np.random.default_rng(9))
@@ -165,7 +171,7 @@ class TestEncode:
     def test_sbidma_rho2_two_identical_copies(self):
         cfg = TwoStepConfig(
             preamble=PreambleSpec(size=1024, base_length=139, repetitions=2),
-            n_occasions=64, occasion_len=300, codec=ORACLE, pilot_len=50,
+            n_occasions=64, codec=ORACLE, pilot_len=50,
             channel_model=ChannelModel.RAYLEIGH, rho=2,
         )
         frame, user = encode_frame(cfg, 77, np.random.default_rng(1))
@@ -178,7 +184,7 @@ class TestEncode:
 
     def test_split_energy_policy_halves_copy_energy(self):
         pre = PreambleSpec(size=1024, base_length=139, repetitions=2)
-        kw = dict(n_occasions=64, occasion_len=300, codec=ORACLE, pilot_len=50,
+        kw = dict(n_occasions=64, codec=ORACLE, pilot_len=50,
                   channel_model=ChannelModel.RAYLEIGH)
         split = TwoStepConfig(preamble=pre, rho=2,
                               energy_policy=EnergyPolicy.SPLIT_ACROSS_COPIES, **kw)
@@ -192,7 +198,7 @@ class TestEncode:
         configs = [awgn_cfg(), fading_cfg()]
         configs.append(TwoStepConfig(
             preamble=PreambleSpec(size=1024, base_length=139, repetitions=2),
-            n_occasions=64, occasion_len=300, codec=ORACLE, pilot_len=50,
+            n_occasions=64, codec=ORACLE, pilot_len=50,
             channel_model=ChannelModel.RAYLEIGH, rho=2,
         ))
         power = 0.8
@@ -335,12 +341,12 @@ class TestSbidmaReceive:
     def test_rho1_bitwise_identical_outcomes(self):
         ts = TwoStepConfig(
             preamble=PreambleSpec(size=8, base_length=31, repetitions=2),
-            n_occasions=8, occasion_len=64, codec=ML8,
+            n_occasions=8, codec=ML8,
             energy_policy=EnergyPolicy.PER_COPY_FULL,
         )
         sb = TwoStepConfig(
             preamble=PreambleSpec(size=8, base_length=31, repetitions=2),
-            n_occasions=8, occasion_len=64, codec=ML8, rho=1,
+            n_occasions=8, codec=ML8, rho=1,
             energy_policy=EnergyPolicy.SPLIT_ACROSS_COPIES,
         )
         for seed in range(50):
@@ -352,10 +358,8 @@ class TestSbidmaReceive:
         # SplitAcrossCopies, no interference: sum of the two per-copy SINRs
         # equals the one-copy full-power SINR.
         pre = PreambleSpec(size=1024, base_length=139, repetitions=2)
-        sb = TwoStepConfig(preamble=pre, rho=2, n_occasions=64,
-                           occasion_len=250, codec=ORACLE, pilot_len=0)
-        ts = TwoStepConfig(preamble=pre, n_occasions=64, occasion_len=250,
-                           codec=ORACLE, pilot_len=0)
+        sb = TwoStepConfig(preamble=pre, rho=2, n_occasions=64, codec=ORACLE, pilot_len=0)
+        ts = TwoStepConfig(preamble=pre, n_occasions=64, codec=ORACLE, pilot_len=0)
         power = 2.7
         rng = np.random.default_rng(4)
         u2 = encode_user(sb, 9, rng, power=power, preamble_index=17)
@@ -368,7 +372,7 @@ class TestSbidmaReceive:
     def test_sic_dominance(self):
         cfg = TwoStepConfig(
             preamble=PreambleSpec(size=1024, base_length=139, repetitions=2),
-            n_occasions=64, occasion_len=300, codec=ORACLE, pilot_len=50,
+            n_occasions=64, codec=ORACLE, pilot_len=50,
             channel_model=ChannelModel.RAYLEIGH, rho=2,
             energy_policy=EnergyPolicy.PER_COPY_FULL,
         )
