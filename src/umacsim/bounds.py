@@ -37,7 +37,6 @@ class BoundQuery:
 
 @dataclass(frozen=True)
 class ReferenceCurve:
-    label: str
     points: tuple[tuple[float, float], ...]   # (ka, snr_db), ka strictly increasing
 
     def snr_db_at(self, ka: float) -> float | None:
@@ -119,7 +118,7 @@ def min_snr_single_user(n: int, k: float, epsilon: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def load_reference_curve(path, label: str | None = None) -> ReferenceCurve:
+def load_reference_curve(path) -> ReferenceCurve:
     """Parse a `ka,snr_db` CSV (UTF-8, LF) into a ReferenceCurve."""
     points = []
     with open(path, newline="", encoding="utf-8") as fh:
@@ -147,4 +146,4 @@ def load_reference_curve(path, label: str | None = None) -> ReferenceCurve:
             points.append((ka, snr_db))
     if not points:
         raise CurveError(f"{path}: no data rows")
-    return ReferenceCurve(label=label or str(path), points=tuple(points))
+    return ReferenceCurve(points=tuple(points))

@@ -31,8 +31,8 @@ from .montecarlo import (
     TwoStepExperiment,
     run_sweep,
 )
-from .protocols import EnergyPolicy, PreambleSpec, ReceiverMode, TwoStepConfig
-from .sequences import DictionaryKind
+from .protocols import EnergyPolicy, ReceiverMode, TwoStepConfig
+from .sequences import DictionaryKind, PreambleSpec
 
 CSV_HEADER = "scenario,channel,ka,min_snr_db,pupe,ci_low,ci_high,trials,seed,notes"
 
@@ -149,8 +149,9 @@ class ExperimentConfig:
             raise ConfigError(f"tol_db: must be positive, got {self.tol_db}")
         if not self.trials_schedule or any(t < 1 for t in self.trials_schedule):
             raise ConfigError("trials_schedule: needs at least one positive entry")
-        if any(k < 1 for k in self.ka_list):
-            raise ConfigError("ka_list: entries must be >= 1")
+        ka = self.ka_list
+        if not ka or min(ka) < 1 or len(set(ka)) < len(ka):
+            raise ConfigError(f"ka_list: needs distinct entries >= 1, got {list(ka)}")
         if self.seed < 0:
             raise ConfigError(f"seed: must be >= 0, got {self.seed}")
         build_experiment(self)      # validates the frame arithmetic

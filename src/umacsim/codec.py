@@ -54,6 +54,11 @@ class CodecSpec:
             raise CodecError(f"payload_bits must be >= 1, got {self.payload_bits}")
         if self.model is CodecModel.ML_RANDOM_GAUSSIAN and self.payload_bits > 12:
             raise CodecError("ML_RANDOM_GAUSSIAN supports payloads up to 12 bits")
+        if self.model is CodecModel.ORACLE_THRESHOLD:
+            try:
+                decode_threshold(self)
+            except ArithmeticError as exc:
+                raise CodecError(f"no oracle decode threshold: {exc}") from None
 
     @property
     def complex_uses(self) -> int:

@@ -312,11 +312,11 @@ class _CholeskyOmp:
         )
 
 
-def energy_detect(y_segment: np.ndarray, noise_power: float) -> bool:
-    """True iff the per-sample energy exceeds the noise power."""
+def energy_detect(y_segment: np.ndarray, threshold: float) -> bool:
+    """True iff the per-sample energy exceeds `threshold` (the noise power)."""
     if len(y_segment) == 0:
         raise DetectionError("cannot energy-detect an empty segment")
-    return energy(y_segment) / len(y_segment) > noise_power
+    return energy(y_segment) / len(y_segment) > threshold
 
 
 def ls_channel_estimate(y_segment: np.ndarray, pilot: np.ndarray) -> complex:

@@ -6,7 +6,8 @@ Determinism: every trial owns an rng seeded by
 `probe` counts SNR evaluations inside a search, so results are independent
 of execution order, of the worker count (``UMAC_BENCH_THREADS``) and of
 how trials are grouped into batches (``TRIAL_BATCH``).
-All aggregation sums integer counters.
+All aggregation sums integer counters.  An experiment's SNR is the transmit
+power per sample over unit-power noise.
 """
 from __future__ import annotations
 
@@ -29,8 +30,6 @@ from .protocols import (
     twostep_receive,  # noqa: F401  perfbench/spans.py wraps it under this name
     twostep_receive_many,
 )
-
-Z_95 = 1.959963984540054
 
 # Trials received together by `run_trials`.  A two-step batch reads the
 # preamble dictionary once per OMP iteration instead of once per trial, and
@@ -82,7 +81,7 @@ class PupeCurvePoint:
     notes: str = ""
 
 
-def wilson_interval(failures: int, total: int, z: float = Z_95) -> tuple[float, float]:
+def wilson_interval(failures: int, total: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion, clamped so that
     0 <= lo <= failures / total <= hi <= 1 despite rounding in center +- half."""
     if total < 1:
@@ -90,6 +89,7 @@ def wilson_interval(failures: int, total: int, z: float = Z_95) -> tuple[float, 
     if not 0 <= failures <= total:
         raise MonteCarloError(f"failures {failures} outside [0, {total}]")
     p = failures / total
+    z = 1.959963984540054       # the normal quantile of a 95% two-sided interval
     denom = 1.0 + z * z / total
     center = (p + z * z / (2 * total)) / denom
     half = z * math.sqrt(p * (1.0 - p) / total + z * z / (4 * total * total)) / denom
@@ -114,7 +114,6 @@ class TwoStepExperiment:
 
     config: TwoStepConfig
     receiver: ReceiverMode = ReceiverMode.TIN
-    noise_power: float = 1.0
 
     def run_trial(self, ka: int, snr_db: float, rng: np.random.Generator) -> tuple[int, int]:
         """(failed, clashes) of one trial: `run_trials` on a single rng."""
@@ -128,7 +127,7 @@ class TwoStepExperiment:
         (`twostep_receive_many`), which gives each the outcome it would get
         alone."""
         cfg = self.config
-        power = self.noise_power * 10.0 ** (snr_db / 10.0)
+        power = 10.0 ** (snr_db / 10.0)
         fading = cfg.channel_model is ChannelModel.RAYLEIGH
         records = []
         for rng in rngs:
@@ -146,7 +145,7 @@ class TwoStepExperiment:
         # A generator: the receiver copies each frame as it takes it, so the
         # frames built here are freed one by one instead of all staying alive.
         frames = (self._frame(record, rng) for record, rng in zip(records, rngs))
-        outcomes = twostep_receive_many(frames, cfg, self.receiver, records, self.noise_power)
+        outcomes = twostep_receive_many(frames, cfg, self.receiver, records)
         return [
             _score([u.message for u in record.users], outcome.decoded_messages)
             for record, outcome in zip(records, outcomes)
@@ -154,7 +153,7 @@ class TwoStepExperiment:
 
     def _frame(self, record: TransmissionRecord, rng: np.random.Generator) -> np.ndarray:
         """Noise from `rng` plus every user's faded transmission."""
-        y = complex_noise(self.config.frame_len, self.noise_power, rng)
+        y = complex_noise(self.config.frame_len, 1.0, rng)
         for u in record.users:
             record.add_user(y, u, u.gain)
         return y
@@ -164,23 +163,20 @@ class TwoStepExperiment:
 class SlottedAlohaExperiment:
     config: SlottedAlohaConfig
     receiver: ReceiverMode = ReceiverMode.TIN
-    noise_power: float = 1.0
 
     def run_trial(self, ka: int, snr_db: float, rng: np.random.Generator) -> tuple[int, int]:
         cfg = self.config
-        power = self.noise_power * 10.0 ** (snr_db / 10.0)
+        power = 10.0 ** (snr_db / 10.0)
         placements = []
         for _ in range(ka):
             msg = draw_message(rng, cfg.codec.payload_bits)
             placements.append((msg, int(rng.integers(0, cfg.slots))))
-        y = complex_noise(cfg.frame_len, self.noise_power, rng)
+        y = complex_noise(cfg.frame_len, 1.0, rng)
         for msg, slot in placements:
             y[slot * cfg.slot_len : (slot + 1) * cfg.slot_len] += encode(
                 cfg.codec, msg, power=power
             )
-        outcome = slotted_aloha_receive(
-            y, cfg, self.receiver, placements, self.noise_power, power=power
-        )
+        outcome = slotted_aloha_receive(y, cfg, self.receiver, placements, power)
         return _score([m for m, _ in placements], outcome.decoded_messages)
 
     def run_trials(

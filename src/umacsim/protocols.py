@@ -44,10 +44,9 @@ from .detection import (
 )
 from .sequences import (
     Dictionary,
-    DictionaryKind,
+    PreambleSpec,
     build_pilot_dictionary,
     build_preamble_dictionary,
-    check_preamble,
 )
 
 
@@ -63,22 +62,6 @@ class ReceiverMode(str, Enum):
 class EnergyPolicy(str, Enum):
     SPLIT_ACROSS_COPIES = "split_across_copies"
     PER_COPY_FULL = "per_copy_full"
-
-
-@dataclass(frozen=True)
-class PreambleSpec:
-    size: int
-    base_length: int
-    repetitions: int = 1
-    kind: DictionaryKind = DictionaryKind.ZADOFF_CHU
-    power_scale: float = 1.0
-
-    def __post_init__(self):
-        check_preamble(self.size, self.base_length, self.repetitions, self.power_scale, self.kind)
-
-    @property
-    def length(self) -> int:
-        return self.base_length * self.repetitions
 
 
 @dataclass(frozen=True)
@@ -170,21 +153,15 @@ def pattern_from_index(index: int, n: int, rho: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=16)
 def build_dictionaries(cfg: TwoStepConfig) -> tuple[Dictionary, Dictionary | None]:
-    """Unit-sample-power preamble and pilot dictionaries for a config, drawn
-    from the fixed seeds 0 (preambles) and 1 (pilots)."""
-    rng = np.random.default_rng(np.random.SeedSequence(0))
-    pre = build_preamble_dictionary(
-        size=cfg.preamble.size,
-        base_length=cfg.preamble.base_length,
-        repetitions=cfg.preamble.repetitions,
-        power_scale=cfg.preamble.power_scale,
-        kind=cfg.preamble.kind,
-        rng=rng,
-    )
+    """Unit-sample-power preamble and pilot dictionaries for a config.
+
+    The preamble dictionary is built first, so the pilots are not yet alive
+    while its complex128 staging sets the peak memory.
+    """
+    pre = build_preamble_dictionary(cfg.preamble)
     pilots = None
     if cfg.pilot_len > 0:
-        prng = np.random.default_rng(np.random.SeedSequence(1))
-        pilots = build_pilot_dictionary(cfg.n_pilots, cfg.pilot_len, prng)
+        pilots = build_pilot_dictionary(cfg.n_pilots, cfg.pilot_len)
     return pre, pilots
 
 
@@ -199,7 +176,6 @@ class UserTx:
     message: int
     preamble_index: int
     occasions: tuple[int, ...]
-    pilot_index: int
     gain: complex                   # 1 for AWGN; CN(0,1) frame-constant otherwise
     preamble_amplitude: float       # sqrt(power): scales the preamble column
     copy_signal: np.ndarray         # pilot + codeword placed in each occasion
@@ -229,12 +205,6 @@ class TransmissionRecord:
         for occ in user.occasions:
             off = self.config.occasion_offset(occ)
             frame[off : off + len(user.copy_signal)] += scale * user.copy_signal
-
-    def user_frame(self, user: UserTx) -> np.ndarray:
-        """The user's full transmitted frame (before channel gain)."""
-        frame = np.zeros(self.config.frame_len, dtype=complex)
-        self.add_user(frame, user, 1.0)
-        return frame
 
 
 @dataclass
@@ -276,7 +246,6 @@ def encode_user(
         message=message,
         preamble_index=preamble_index,
         occasions=occasions,
-        pilot_index=pilot_index,
         gain=gain,
         preamble_amplitude=sqrt_p,
         copy_signal=copy_signal,
@@ -293,20 +262,18 @@ def _effective_sinr(
     user: UserTx,
     active: list[UserTx],
     y: np.ndarray,
-    noise_power: float,
 ) -> float:
     """Genie SINR with maximal-ratio combining across the user's copies.
 
-    Per copy: |h|^2 E_cw / (sigma^2 n_occ + sum_v |h_v|^2 E_v + |h_hat - h|^2 E_cw)
-    where v runs over uncancelled co-occasion users and the last term models
-    the loss from imperfect pilot-based channel estimation (fading only).
-    `active` holds the uncancelled users sorted by (message, preamble_index):
-    that order fixes the summation order, so the result does not depend on
-    the order of the genie record.
+    Per copy: |h|^2 E_cw / (n_occ + sum_v |h_v|^2 E_v + |h_hat - h|^2 E_cw)
+    over unit-power noise, where v runs over uncancelled co-occasion users
+    and the last term models the loss from imperfect pilot-based channel
+    estimation (fading only).  `active` holds the uncancelled users sorted by
+    (message, preamble_index): that order fixes the summation order, so the
+    result does not depend on the order of the genie record.
     """
     fading = cfg.channel_model is ChannelModel.RAYLEIGH
     sig = abs(user.gain) ** 2 * user.codeword_energy
-    noise = noise_power * cfg.occasion_len
     total = 0.0
     for occ in user.occasions:
         interference = 0.0
@@ -321,8 +288,7 @@ def _effective_sinr(
             pilot = user.copy_signal[: cfg.pilot_len]
             h_hat = ls_channel_estimate(y[off : off + cfg.pilot_len], pilot)
             penalty = abs(h_hat - user.gain) ** 2 * user.codeword_energy
-        denom = noise + interference + penalty
-        total += sig / denom if denom > 0 else math.inf
+        total += sig / (cfg.occasion_len + interference + penalty)
     return total
 
 
@@ -331,7 +297,6 @@ def twostep_receive(
     cfg: TwoStepConfig,
     mode: ReceiverMode,
     genie: TransmissionRecord,
-    noise_power: float,
 ) -> DecodeOutcome:
     """OMP preamble detection, per-preamble decode attempts, optional ideal SIC.
 
@@ -339,7 +304,7 @@ def twostep_receive(
     of every decoded user and repeats until no round decodes anybody new.
     This is `twostep_receive_many` on one frame.
     """
-    return twostep_receive_many([y], cfg, mode, [genie], noise_power)[0]
+    return twostep_receive_many([y], cfg, mode, [genie])[0]
 
 
 def twostep_receive_many(
@@ -347,7 +312,6 @@ def twostep_receive_many(
     cfg: TwoStepConfig,
     mode: ReceiverMode,
     genies: list[TransmissionRecord],
-    noise_power: float,
 ) -> list[DecodeOutcome]:
     """`twostep_receive` on every frame of `ys`, each with its own genie record.
 
@@ -372,7 +336,7 @@ def twostep_receive_many(
             e_pre = energy(f.y[:pre_len])
             if e_pre > 0:
                 detecting.append(f)
-                thresholds.append(min(1.0, 1.1 * noise_power * pre_len / e_pre))
+                thresholds.append(min(1.0, 1.1 * pre_len / e_pre))
         if not detecting:
             break
         max_iters = [min(2 * max(1, len(f.genie.users)), cfg.preamble.size) for f in detecting]
@@ -384,7 +348,7 @@ def twostep_receive_many(
         )
         running = []
         for f, det in zip(detecting, dets):
-            newly = f.decode_round(cfg, det, noise_power)
+            newly = f.decode_round(cfg, det)
             # Every further round needs a new decode, so len(users) + 1 rounds
             # is the most a frame can use.
             if mode is ReceiverMode.TIN_SIC and newly and f.rounds <= len(f.genie.users):
@@ -405,9 +369,7 @@ class _SicFrame:
         self.round_decodes: list[int] = []
         self.rounds = 0
 
-    def decode_round(
-        self, cfg: TwoStepConfig, det: DetectionResult, noise_power: float
-    ) -> list[UserTx]:
+    def decode_round(self, cfg: TwoStepConfig, det: DetectionResult) -> list[UserTx]:
         """One decode attempt per detected preamble; returns the users decoded."""
         users = self.genie.users
         self.detected.update(det.indices)
@@ -436,7 +398,7 @@ class _SicFrame:
                 continue
             u = max(cand, key=lambda t: abs(t.gain) ** 2)
             if cfg.codec.model is CodecModel.ORACLE_THRESHOLD:
-                sinr = _effective_sinr(cfg, u, active, self.y, noise_power)
+                sinr = _effective_sinr(cfg, u, active, self.y)
                 ok, msg = decode(cfg.codec, genie_sinr=sinr, true_message=u.message)
             else:
                 ok, msg = _ml_attempt(cfg, u, self.y, self.genie.power)
@@ -487,10 +449,10 @@ def slotted_aloha_receive(
     cfg: SlottedAlohaConfig,
     mode: ReceiverMode,
     genie: list[tuple[int, int]],      # (message, slot) ground truth
-    noise_power: float,
-    power: float = 1.0,
+    power: float,
 ) -> DecodeOutcome:
-    """Per-slot energy detection followed by single-user decode attempts.
+    """Per-slot energy detection followed by single-user decode attempts,
+    over unit-power noise, with every user sending at per-sample `power`.
 
     With the oracle codec, slots holding a single (uncancelled) user decode
     iff the genie SINR clears the codec threshold; collided slots fail under
@@ -520,7 +482,7 @@ def slotted_aloha_receive(
             slot_iter = range(cfg.slots)
         for slot in slot_iter:
             seg = y_work[slot * slot_len : (slot + 1) * slot_len]
-            if not energy_detect(seg, noise_power):
+            if not energy_detect(seg, 1.0):
                 continue
             occ = [t for t in occupants.get(slot, []) if t not in cancelled]
             if cfg.codec.model is CodecModel.ORACLE_THRESHOLD:
@@ -529,8 +491,7 @@ def slotted_aloha_receive(
                 msg = occ[0][0]
                 if msg in decoded:
                     continue
-                sinr = power / noise_power if noise_power > 0 else math.inf
-                ok, out = decode(cfg.codec, genie_sinr=sinr, true_message=msg)
+                ok, out = decode(cfg.codec, genie_sinr=power, true_message=msg)
             else:
                 ok, out = decode(cfg.codec, observed=seg, gain=math.sqrt(power))
             if ok and out is not None and out not in decoded:

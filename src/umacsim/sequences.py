@@ -5,7 +5,8 @@ Columns have per-sample power `power_scale` (preambles) or 1 (pilots); a
 user's transmit power scales its column at encoding time.  Preamble columns
 are stored as complex64, the rounding of the complex128 values the private
 column builders compute; pilot columns stay complex128.  Both are stored
-with contiguous columns (Fortran order).
+with contiguous columns (Fortran order).  Gaussian columns are drawn from
+fixed seeds, so a `PreambleSpec` alone fixes its dictionary.
 """
 from __future__ import annotations
 
@@ -52,6 +53,47 @@ class Dictionary:
             block = self.columns[:, c0 : c0 + _NORM_BLOCK].astype(complex)
             best = max(best, float(np.linalg.norm(block, axis=0).max()))
         return best
+
+
+@dataclass(frozen=True)
+class PreambleSpec:
+    """A preamble set: `size` columns of length base_length * repetitions.
+
+    Raises SequenceError unless the dictionary can be built and carries
+    signal.
+    """
+
+    size: int
+    base_length: int
+    repetitions: int = 1
+    kind: DictionaryKind = DictionaryKind.ZADOFF_CHU
+    power_scale: float = 1.0
+
+    def __post_init__(self):
+        if self.size < 1:
+            raise SequenceError(f"size must be >= 1, got {self.size}")
+        if self.base_length < 1:
+            raise SequenceError(f"base length must be >= 1, got {self.base_length}")
+        if self.repetitions < 1:
+            raise SequenceError(f"repetitions must be >= 1, got {self.repetitions}")
+        if not (self.power_scale > 0.0 and math.isfinite(self.power_scale)):
+            raise SequenceError(f"power scale must be positive and finite, got {self.power_scale}")
+        if self.kind is DictionaryKind.ZADOFF_CHU:
+            if not _is_prime(self.base_length):
+                raise SequenceError(
+                    f"Zadoff-Chu base length must be prime, got {self.base_length}; "
+                    "use the Gaussian kind for other lengths"
+                )
+            max_size = (self.base_length - 1) * self.base_length   # roots x cyclic shifts
+            if self.size > max_size:
+                raise SequenceError(
+                    f"{self.size} sequences exceed the {max_size} root/shift combinations "
+                    f"of length {self.base_length}; use the Gaussian kind for enlarged sets"
+                )
+
+    @property
+    def length(self) -> int:
+        return self.base_length * self.repetitions
 
 
 def _is_prime(n: int) -> bool:
@@ -140,75 +182,33 @@ def _zadoff_chu_columns(
     return cols
 
 
-def check_preamble(
-    size: int,
-    base_length: int,
-    repetitions: int,
-    power_scale: float,
-    kind: DictionaryKind,
-) -> None:
-    """Raise SequenceError unless a preamble dictionary with these
-    parameters can be built and carries signal."""
-    if size < 1:
-        raise SequenceError(f"size must be >= 1, got {size}")
-    if base_length < 1:
-        raise SequenceError(f"base length must be >= 1, got {base_length}")
-    if repetitions < 1:
-        raise SequenceError(f"repetitions must be >= 1, got {repetitions}")
-    if not (power_scale > 0.0 and math.isfinite(power_scale)):
-        raise SequenceError(f"power scale must be positive and finite, got {power_scale}")
-    if kind is DictionaryKind.ZADOFF_CHU:
-        if not _is_prime(base_length):
-            raise SequenceError(
-                f"Zadoff-Chu base length must be prime, got {base_length}; "
-                "use the Gaussian kind for other lengths"
-            )
-        max_size = (base_length - 1) * base_length   # roots x cyclic shifts
-        if size > max_size:
-            raise SequenceError(
-                f"{size} sequences exceed the {max_size} root/shift combinations "
-                f"of length {base_length}; use the Gaussian kind for enlarged sets"
-            )
-
-
-def build_preamble_dictionary(
-    size: int,
-    base_length: int,
-    repetitions: int = 1,
-    power_scale: float = 1.0,
-    kind: DictionaryKind = DictionaryKind.ZADOFF_CHU,
-    rng: np.random.Generator | None = None,
-) -> Dictionary:
-    """Preamble dictionary with complex64 columns of length
-    base_length * repetitions.
+def build_preamble_dictionary(spec: PreambleSpec) -> Dictionary:
+    """Preamble dictionary with complex64 columns of length `spec.length`.
 
     Zadoff-Chu columns enumerate (cyclic shift, root) pairs shift-major
     (index -> shift = index // (N-1), root = 1 + index % (N-1)), giving a
     deterministic index-to-sequence map; each base sequence is repeated
-    `repetitions` times.  Gaussian columns are i.i.d. CN, normalized.
-    Column energy is base_length * repetitions * power_scale before the
+    `repetitions` times.  Gaussian columns are i.i.d. CN, normalized, drawn
+    from the fixed seed 0.  Column energy is length * power_scale before the
     values are rounded to complex64.
     """
-    check_preamble(size, base_length, repetitions, power_scale, kind)
-    if kind is DictionaryKind.ZADOFF_CHU:
-        cols = _zadoff_chu_columns(size, base_length, repetitions, power_scale, np.complex64)
+    if spec.kind is DictionaryKind.ZADOFF_CHU:
+        cols = _zadoff_chu_columns(
+            spec.size, spec.base_length, spec.repetitions, spec.power_scale, np.complex64
+        )
     else:
-        if rng is None:
-            raise SequenceError("Gaussian dictionaries need an rng")
-        length = base_length * repetitions
-        cols = _gaussian_columns(size, length, length * power_scale, rng, np.complex64)
+        rng = np.random.default_rng(np.random.SeedSequence(0))
+        energy = spec.length * spec.power_scale
+        cols = _gaussian_columns(spec.size, spec.length, energy, rng, np.complex64)
     return Dictionary(columns=cols)
 
 
-def build_pilot_dictionary(
-    size: int,
-    length: int,
-    rng: np.random.Generator,
-) -> Dictionary:
+def build_pilot_dictionary(size: int, length: int) -> Dictionary:
     """Gaussian pilot dictionary with complex128 columns, per-column energy
-    = length."""
+    = length, drawn from the fixed seed 1."""
     if size < 1:
         raise SequenceError(f"size must be >= 1, got {size}")
     if length < 1:
         raise SequenceError(f"length must be >= 1, got {length}")
+    rng = np.random.default_rng(np.random.SeedSequence(1))
     return Dictionary(columns=_gaussian_columns(size, length, length, rng, complex))

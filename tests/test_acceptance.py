@@ -300,10 +300,10 @@ def test_criterion_10_determinism_and_symmetry(announce, tmp_path):
         record = TransmissionRecord(cfg, 10.0, users)
         y = complex_noise(cfg.frame_len, 1.0, rng)
         for u in users:
-            y += u.gain * record.user_frame(u)
-        fwd = twostep_receive(y, cfg, ReceiverMode.TIN_SIC, record, 1.0)
+            record.add_user(y, u, u.gain)
+        fwd = twostep_receive(y, cfg, ReceiverMode.TIN_SIC, record)
         perm = TransmissionRecord(cfg, 10.0, list(reversed(users)))
-        rev = twostep_receive(y, cfg, ReceiverMode.TIN_SIC, perm, 1.0)
+        rev = twostep_receive(y, cfg, ReceiverMode.TIN_SIC, perm)
         symmetric = symmetric and fwd.decoded_messages == rev.decoded_messages
     ok = identical and symmetric
     announce(ok, "criterion 10: determinism and unsourced symmetry",

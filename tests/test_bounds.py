@@ -172,7 +172,7 @@ class TestReferenceCurve:
     def test_round_trip_two_rows(self, tmp_path):
         path = tmp_path / "curve.csv"
         path.write_text("ka,snr_db\n10,1.5\n20,3.25\n")
-        curve = load_reference_curve(path, label="ref")
+        curve = load_reference_curve(path)
         assert curve.points == ((10.0, 1.5), (20.0, 3.25))
         assert curve.snr_db_at(10) == 1.5
         assert curve.snr_db_at(15) == pytest.approx(2.375)

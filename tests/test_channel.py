@@ -7,6 +7,7 @@ Eb/N0 has one formula, `cli.ebn0_db`.
 """
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,13 +17,8 @@ from umacsim.channel import ChannelModel, complex_noise, energy
 from umacsim.cli import ConfigError, ebn0_db, load_preset
 from umacsim.codec import CodecModel, CodecSpec
 from umacsim.montecarlo import TwoStepExperiment, draw_message
-from umacsim.protocols import (
-    DecodeOutcome,
-    PreambleSpec,
-    TransmissionRecord,
-    TwoStepConfig,
-    encode_user,
-)
+from umacsim.protocols import DecodeOutcome, TransmissionRecord, TwoStepConfig, encode_user
+from umacsim.sequences import PreambleSpec
 
 ML8 = CodecSpec(codeword_bits=128, payload_bits=8, model=CodecModel.ML_RANDOM_GAUSSIAN)
 
@@ -35,21 +31,34 @@ def small_cfg(model=ChannelModel.AWGN, pilot_len=0):
     )
 
 
-def users_of(cfg, count, rng, gains=None):
+def users_of(cfg, count, rng, gains=None, power=1.0):
     gains = [1.0 + 0.0j] * count if gains is None else gains
-    return [encode_user(cfg, draw_message(rng, 8), rng, gain=g) for g in gains]
+    return [encode_user(cfg, draw_message(rng, 8), rng, power=power, gain=g) for g in gains]
 
 
-def frame(cfg, users, noise_power, seed):
+def silent(n, variance, rng):
+    """A noiseless channel in place of `complex_noise`."""
+    return np.zeros(n, dtype=complex)
+
+
+def frame(cfg, users, seed, noise=complex_noise):
+    """`TwoStepExperiment._frame` of the users, with `noise` as the channel noise."""
     record = TransmissionRecord(cfg, 1.0, users)
-    experiment = TwoStepExperiment(config=cfg, noise_power=noise_power)
-    return experiment._frame(record, np.random.default_rng(seed))
+    with mock.patch.object(montecarlo, "complex_noise", noise):
+        return TwoStepExperiment(config=cfg)._frame(record, np.random.default_rng(seed))
+
+
+def user_frame(cfg, user):
+    """The user's full transmitted frame (before channel gain)."""
+    x = np.zeros(cfg.frame_len, dtype=complex)
+    TransmissionRecord(cfg, 1.0, [user]).add_user(x, user, 1.0)
+    return x
 
 
 def skip_receiver(monkeypatch, records, frames=None):
     """Keep what `run_trials` hands the two-step receiver, and skip it."""
 
-    def receive(ys, cfg, mode, genies, noise_power):
+    def receive(ys, cfg, mode, genies):
         if frames is not None:
             frames.extend(np.array(y) for y in ys)
         records.extend(genies)
@@ -61,11 +70,11 @@ def skip_receiver(monkeypatch, records, frames=None):
 class TestAwgnTransmit:
     def test_no_inputs_pure_noise_variance(self):
         cfg = small_cfg()
-        z = np.concatenate([frame(cfg, [], 2.0, seed) for seed in range(200)])
+        z = np.concatenate([frame(cfg, [], seed) for seed in range(200)])
         mean_sq = np.mean(np.abs(z) ** 2)
-        # |Z|^2 is exponential with mean sigma^2 and std sigma^2.
-        se = 2.0 / math.sqrt(len(z))
-        assert abs(mean_sq - 2.0) < 3 * se
+        # |Z|^2 is exponential with mean sigma^2 = 1 and std 1.
+        se = 1.0 / math.sqrt(len(z))
+        assert abs(mean_sq - 1.0) < 3 * se
 
     def test_noiseless_cancellation(self):
         cfg = small_cfg()
@@ -79,36 +88,33 @@ class TestAwgnTransmit:
 
     def test_mean_output_energy_two_users(self):
         cfg = small_cfg()
-        users = users_of(cfg, 2, np.random.default_rng(1))
-        record = TransmissionRecord(cfg, 1.0, users)
-        signal = record.user_frame(users[0]) + record.user_frame(users[1])
-        noise_power = 0.5
+        # Twice the unit noise power: the SNR of a half-power noise.
+        users = users_of(cfg, 2, np.random.default_rng(1), power=2.0)
+        signal = user_frame(cfg, users[0]) + user_frame(cfg, users[1])
         vals = np.array([
-            energy(frame(cfg, users, noise_power, seed)) / cfg.frame_len
-            for seed in range(2000)
+            energy(frame(cfg, users, seed)) / cfg.frame_len for seed in range(2000)
         ])
-        expected = energy(signal) / cfg.frame_len + noise_power
+        expected = energy(signal) / cfg.frame_len + 1.0
         se = vals.std(ddof=1) / math.sqrt(len(vals))
         assert abs(vals.mean() - expected) < 3 * se
 
     def test_determinism(self):
         cfg = small_cfg()
         users = users_of(cfg, 3, np.random.default_rng(2))
-        assert np.array_equal(frame(cfg, users, 1.0, 5), frame(cfg, users, 1.0, 5))
+        assert np.array_equal(frame(cfg, users, 5), frame(cfg, users, 5))
 
     def test_noiseless_equals_exact_sum(self):
         cfg = small_cfg()
         users = users_of(cfg, 3, np.random.default_rng(3))
-        record = TransmissionRecord(cfg, 1.0, users)
-        exact = sum(record.user_frame(u) for u in users)
-        assert np.array_equal(frame(cfg, users, 0.0, 0), exact)
+        exact = sum(user_frame(cfg, u) for u in users)
+        assert np.array_equal(frame(cfg, users, 0, silent), exact)
 
 
 class TestFadingTransmit:
     def test_unit_gain_reduces_to_awgn(self):
         users = users_of(small_cfg(), 2, np.random.default_rng(4))
         fading = small_cfg(ChannelModel.RAYLEIGH)
-        assert np.array_equal(frame(fading, users, 1.0, 11), frame(small_cfg(), users, 1.0, 11))
+        assert np.array_equal(frame(fading, users, 11), frame(small_cfg(), users, 11))
 
     def test_gain_second_moment(self, monkeypatch):
         records = []
@@ -128,14 +134,14 @@ class TestFadingTransmit:
             encode_user(cfg, 77, np.random.default_rng(0), gain=g, preamble_index=3)
             for g in (1.0 + 0.0j, -1.0 + 0.0j)
         ]
-        assert np.all(frame(cfg, twins, 0.0, 0) == 0)
+        assert np.all(frame(cfg, twins, 0, silent) == 0)
 
     def test_gains_frame_constant_impulse_train(self):
         # Every sample the user occupies carries the same gain factor.
         cfg = small_cfg(ChannelModel.RAYLEIGH, pilot_len=16)
         (user,) = users_of(cfg, 1, np.random.default_rng(9), gains=[0.8 - 0.6j])
-        x = TransmissionRecord(cfg, 1.0, [user]).user_frame(user)
-        y = frame(cfg, [user], 0.0, 0)
+        x = user_frame(cfg, user)
+        y = frame(cfg, [user], 0, silent)
         occupied = x != 0
         assert occupied.sum() == cfg.preamble_region_len + cfg.occasion_len
         assert np.array_equal(y[occupied], user.gain * x[occupied])
@@ -162,7 +168,7 @@ class TestTwoStepFrame:
         for y, z, record in zip(frames, noises, genies):
             expected = z
             for u in record.users:
-                expected = expected + u.gain * record.user_frame(u)
+                expected = expected + u.gain * user_frame(cfg, u)
             assert np.array_equal(y, expected)
             fading = any(u.gain != 1 for u in record.users)
             assert fading == (model is ChannelModel.RAYLEIGH)

@@ -367,7 +367,8 @@ class TestProperties:
         change = dict(
             receiver_mode=draw(st.sampled_from(["tin", "tin_sic"])),
             target_pupe=draw(st.floats(0.0, 1.0, exclude_min=True)),
-            ka_list=tuple(draw(st.lists(st.integers(1, 500), min_size=1, max_size=4))),
+            ka_list=tuple(draw(st.lists(st.integers(1, 500), min_size=1, max_size=4,
+                                        unique=True))),
             snr_lo_db=lo,
             snr_hi_db=lo + draw(st.floats(1e-3, 40.0)),
             tol_db=draw(st.floats(0.0, 5.0, exclude_min=True)),
@@ -423,7 +424,50 @@ class TestProperties:
         estimate_pupe(build_experiment(config), 1, config.snr_lo_db, 1, config.seed)
 
 
+def rejected_before_any_probe(tmp_path, monkeypatch, capsys, doc) -> str:
+    """Run `main` on the YAML document; assert that it fails before any probe
+    and writes no CSV or checkpoint, and return its error message."""
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a probe ran")
+
+    monkeypatch.setattr(cli, "run_sweep", no_sweep)
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    assert main(["--config", str(path), "--out", str(out_dir / "r.csv")]) == 1
+    assert list(out_dir.iterdir()) == []
+    return capsys.readouterr().err
+
+
 class TestMain:
+    @pytest.mark.parametrize(
+        "preset, payload_bits", [("slotted_aloha_mini", 20000), ("twostep_rayleigh_64", 100000)]
+    )
+    def test_payload_beyond_the_codeword_rejected(
+        self, tmp_path, monkeypatch, capsys, preset, payload_bits
+    ):
+        # No SNR gives the oracle codec's threshold for so many bits in 64
+        # (250) complex uses; this used to crash the first probe.
+        doc = yaml.safe_load(serialize_config(load_preset(preset)))
+        doc["payload_bits"] = payload_bits
+        err = rejected_before_any_probe(tmp_path, monkeypatch, capsys, doc)
+        assert "error: no oracle decode threshold" in err
+        assert f"k={payload_bits}" in err
+
+    def test_empty_ka_list_rejected(self, tmp_path, monkeypatch, capsys):
+        # Used to exit 0 with a header-only CSV.
+        doc = dict(yaml.safe_load(FAST_CONFIG), ka_list=[])
+        err = rejected_before_any_probe(tmp_path, monkeypatch, capsys, doc)
+        assert "error: ka_list: needs distinct entries >= 1, got []" in err
+
+    def test_repeated_ka_list_rejected(self, tmp_path, monkeypatch, capsys):
+        # Used to run the whole search twice and write the same row twice.
+        doc = dict(yaml.safe_load(FAST_CONFIG), ka_list=[1, 1])
+        err = rejected_before_any_probe(tmp_path, monkeypatch, capsys, doc)
+        assert "error: ka_list: needs distinct entries >= 1, got [1, 1]" in err
+
     def test_list_presets(self, capsys):
         assert main(["--list-presets"]) == 0
         out = capsys.readouterr().out

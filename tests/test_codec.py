@@ -134,9 +134,9 @@ class TestSlottedAloha:
     def frames(self, monkeypatch, cfg, ka, power_db, seeds):
         seen = []
 
-        def receive(y, cfg, mode, genie, noise_power, power):
+        def receive(y, cfg, mode, genie, power):
             seen.append((y.copy(), list(genie), power))
-            return slotted_aloha_receive(y, cfg, mode, genie, noise_power, power=power)
+            return slotted_aloha_receive(y, cfg, mode, genie, power)
 
         monkeypatch.setattr(montecarlo, "slotted_aloha_receive", receive)
         monkeypatch.setattr(

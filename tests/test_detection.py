@@ -15,7 +15,7 @@ from umacsim.detection import (
     omp_detect_many,
     subtract,
 )
-from umacsim.sequences import build_preamble_dictionary
+from umacsim.sequences import PreambleSpec, build_preamble_dictionary
 
 
 def gaussian_dict(rows, cols, seed):
@@ -26,7 +26,7 @@ def gaussian_dict(rows, cols, seed):
 
 class TestOmp:
     def test_single_column_recovery(self):
-        d = build_preamble_dictionary(size=16, base_length=31, repetitions=2)
+        d = build_preamble_dictionary(PreambleSpec(size=16, base_length=31, repetitions=2))
         y = d.column(5).astype(complex)
         res = omp_detect(y, d, max_iters=3)
         assert res.indices[0] == 5
@@ -108,7 +108,7 @@ def sparse_problems(draw):
         base = draw(st.sampled_from([13, 31, 37]))
         size = draw(st.integers(base, 3 * base))
         a = build_preamble_dictionary(
-            size=size, base_length=base, repetitions=draw(st.integers(1, 2))
+            PreambleSpec(size=size, base_length=base, repetitions=draw(st.integers(1, 2)))
         ).columns
         rank = base
     k = draw(st.integers(1, 4))

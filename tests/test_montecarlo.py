@@ -19,12 +19,8 @@ from umacsim.montecarlo import (
     run_sweep,
     wilson_interval,
 )
-from umacsim.protocols import (
-    PreambleSpec,
-    ReceiverMode,
-    TwoStepConfig,
-)
-from umacsim.sequences import DictionaryKind
+from umacsim.protocols import ReceiverMode, TwoStepConfig
+from umacsim.sequences import DictionaryKind, PreambleSpec
 
 ORACLE = CodecSpec(codeword_bits=500, payload_bits=100)
 ML8 = CodecSpec(codeword_bits=128, payload_bits=8, model=CodecModel.ML_RANDOM_GAUSSIAN)
@@ -94,8 +90,8 @@ class TestDrawMessage:
 
 class TestEstimatePupe:
     def test_noiseless_single_user_perfect(self):
-        exp = baseline_experiment(noise_power=1e-12)
-        est = estimate_pupe(exp, 1, 40.0, 20, seed=1)
+        # 40 dB over a noise power of 1e-12: 160 dB over unit noise.
+        est = estimate_pupe(baseline_experiment(), 1, 160.0, 20, seed=1)
         assert est.pupe == 0.0
 
     def test_huge_noise_total_loss(self):

@@ -9,7 +9,6 @@ from umacsim.codec import CodecModel, CodecSpec, SlottedAlohaConfig, decode_thre
 from umacsim.montecarlo import SlottedAlohaExperiment, TwoStepExperiment, draw_message
 from umacsim.protocols import (
     EnergyPolicy,
-    PreambleSpec,
     ProtocolError,
     ReceiverMode,
     TransmissionRecord,
@@ -22,6 +21,7 @@ from umacsim.protocols import (
     twostep_receive,
     twostep_receive_many,
 )
+from umacsim.sequences import PreambleSpec
 
 ORACLE = CodecSpec(codeword_bits=500, payload_bits=100)
 ML8 = CodecSpec(codeword_bits=128, payload_bits=8, model=CodecModel.ML_RANDOM_GAUSSIAN)
@@ -58,7 +58,9 @@ def transmit(cfg, users, noise_power, rng):
 def encode_frame(cfg, message, rng, power=1.0):
     """One user's full transmitted frame and its genie record."""
     user = encode_user(cfg, message, rng, power=power)
-    return TransmissionRecord(cfg, power, [user]).user_frame(user), user
+    frame = np.zeros(cfg.frame_len, dtype=complex)
+    TransmissionRecord(cfg, power, [user]).add_user(frame, user, 1.0)
+    return frame, user
 
 
 class TestPatterns:
@@ -150,7 +152,7 @@ class TestEncode:
         )
         user = encode_user(cfg, 1, np.random.default_rng(0), preamble_index=200)
         assert user.occasions == (200 % 64,)
-        assert user.pilot_index == 200 // 64
+        assert cfg.map_preamble(user.preamble_index)[1] == 200 // 64
 
     def test_sbidma_rho1_reduces_to_twostep(self):
         ts = awgn_cfg(codec=ML8,
@@ -164,9 +166,8 @@ class TestEncode:
         f1, u1 = encode_frame(ts, 5, np.random.default_rng(9))
         f2, u2 = encode_frame(sb, 5, np.random.default_rng(9))
         assert np.array_equal(f1, f2)
-        assert (u1.preamble_index, u1.occasions, u1.pilot_index) == (
-            u2.preamble_index, u2.occasions, u2.pilot_index
-        )
+        assert (u1.preamble_index, u1.occasions) == (u2.preamble_index, u2.occasions)
+        assert ts.map_preamble(u1.preamble_index) == sb.map_preamble(u2.preamble_index)
 
     def test_sbidma_rho2_two_identical_copies(self):
         cfg = TwoStepConfig(
@@ -219,7 +220,7 @@ class TestTwoStepReceive:
             user = encode_user(cfg, draw_message(rng, 100), rng, power=power)
             record = TransmissionRecord(cfg, power, [user])
             y = transmit(cfg, [user], 1.0, rng)
-            out = twostep_receive(y, cfg, ReceiverMode.TIN, record, 1.0)
+            out = twostep_receive(y, cfg, ReceiverMode.TIN, record)
             ok += user.message in out.decoded_messages
         assert ok / trials >= 0.99
 
@@ -231,7 +232,7 @@ class TestTwoStepReceive:
         u2 = encode_user(cfg, 222, rng, power=power, preamble_index=5)
         record = TransmissionRecord(cfg, power, [u1, u2])
         y = transmit(cfg, [u1, u2], 1.0, rng)
-        out = twostep_receive(y, cfg, ReceiverMode.TIN, record, 1.0)
+        out = twostep_receive(y, cfg, ReceiverMode.TIN, record)
         assert 111 not in out.decoded_messages
         assert 222 not in out.decoded_messages
 
@@ -244,7 +245,7 @@ class TestTwoStepReceive:
             u2 = encode_user(cfg, 222, rng, power=power, gain=0.2 + 0j, preamble_index=5)
             record = TransmissionRecord(cfg, power, [u1, u2])
             y = transmit(cfg, [u1, u2], 1.0, rng)
-            out = twostep_receive(y, cfg, ReceiverMode.TIN, record, 1.0)
+            out = twostep_receive(y, cfg, ReceiverMode.TIN, record)
             assert 222 not in out.decoded_messages
 
     def test_tin_sic_superset_of_tin(self):
@@ -261,8 +262,8 @@ class TestTwoStepReceive:
                                          power=power, gain=gain))
             record = TransmissionRecord(cfg, power, users)
             y = transmit(cfg, users, 1.0, rng)
-            tin = twostep_receive(y, cfg, ReceiverMode.TIN, record, 1.0)
-            sic = twostep_receive(y, cfg, ReceiverMode.TIN_SIC, record, 1.0)
+            tin = twostep_receive(y, cfg, ReceiverMode.TIN, record)
+            sic = twostep_receive(y, cfg, ReceiverMode.TIN_SIC, record)
             assert sic.decoded_messages >= tin.decoded_messages
             assert sic.sic_rounds <= len(users) + 1
 
@@ -280,11 +281,11 @@ class TestTwoStepReceive:
                                          power=power, gain=gain))
             y = transmit(cfg, users, 1.0, rng)
             fwd = twostep_receive(
-                y, cfg, ReceiverMode.TIN_SIC, TransmissionRecord(cfg, power, users), 1.0
+                y, cfg, ReceiverMode.TIN_SIC, TransmissionRecord(cfg, power, users)
             )
             rev = twostep_receive(
                 y, cfg, ReceiverMode.TIN_SIC,
-                TransmissionRecord(cfg, power, list(reversed(users))), 1.0,
+                TransmissionRecord(cfg, power, list(reversed(users))),
             )
             assert fwd.decoded_messages == rev.decoded_messages
 
@@ -323,8 +324,8 @@ class TestTwoStepReceiveMany:
             frames.append(transmit(cfg, users, 1.0, rng))
         before = [y.copy() for y in frames]
         for mode in ReceiverMode:
-            many = twostep_receive_many(frames, cfg, mode, records, 1.0)
-            alone = [twostep_receive(y, cfg, mode, r, 1.0) for y, r in zip(frames, records)]
+            many = twostep_receive_many(frames, cfg, mode, records)
+            alone = [twostep_receive(y, cfg, mode, r) for y, r in zip(frames, records)]
             assert many == alone
             assert all(np.array_equal(y, b) for y, b in zip(frames, before))
         assert any(out.sic_rounds > 1 for out in many)
@@ -334,7 +335,7 @@ class TestTwoStepReceiveMany:
         cfg = fading_cfg()
         with pytest.raises(ValueError):
             twostep_receive_many([np.zeros(cfg.frame_len, complex)], cfg,
-                                 ReceiverMode.TIN, [], 1.0)
+                                 ReceiverMode.TIN, [])
 
 
 class TestSbidmaReceive:
@@ -365,8 +366,8 @@ class TestSbidmaReceive:
         u2 = encode_user(sb, 9, rng, power=power, preamble_index=17)
         u1 = encode_user(ts, 9, rng, power=power, preamble_index=17)
         y = np.zeros(sb.frame_len, dtype=complex)
-        s2 = _effective_sinr(sb, u2, [u2], y, noise_power=1.0)
-        s1 = _effective_sinr(ts, u1, [u1], y[: ts.frame_len], noise_power=1.0)
+        s2 = _effective_sinr(sb, u2, [u2], y)
+        s1 = _effective_sinr(ts, u1, [u1], y[: ts.frame_len])
         assert s2 == pytest.approx(s1, rel=1e-12)
 
     def test_sic_dominance(self):
@@ -388,8 +389,8 @@ class TestSbidmaReceive:
                                          power=power, gain=gain))
             record = TransmissionRecord(cfg, power, users)
             y = transmit(cfg, users, 1.0, rng)
-            tin = twostep_receive(y, cfg, ReceiverMode.TIN, record, 1.0)
-            sic = twostep_receive(y, cfg, ReceiverMode.TIN_SIC, record, 1.0)
+            tin = twostep_receive(y, cfg, ReceiverMode.TIN, record)
+            sic = twostep_receive(y, cfg, ReceiverMode.TIN_SIC, record)
             assert sic.decoded_messages >= tin.decoded_messages
 
 
@@ -413,7 +414,7 @@ class TestSlottedAlohaReceive:
         for msg in (10, 20):
             y[slot * 64 : (slot + 1) * 64] += encode(self.SA.codec, msg, power=power)
         out = slotted_aloha_receive(
-            y, self.SA, ReceiverMode.TIN, [(10, slot), (20, slot)], 1.0, power=power
+            y, self.SA, ReceiverMode.TIN, [(10, slot), (20, slot)], power
         )
         assert out.decoded_messages == set()
 

@@ -8,6 +8,7 @@ from umacsim.channel import energy
 from umacsim.sequences import (
     Dictionary,
     DictionaryKind,
+    PreambleSpec,
     SequenceError,
     _gaussian_columns,
     _zadoff_chu_columns,
@@ -58,7 +59,7 @@ class TestPreambleDictionary:
     def test_standard_family_shape_and_energy(self):
         # Energies of the complex128 values, which are stored rounded to complex64.
         exact = _zadoff_chu_columns(64, 139, 2, 1.0, complex)
-        d = build_preamble_dictionary(size=64, base_length=139, repetitions=2)
+        d = build_preamble_dictionary(PreambleSpec(size=64, base_length=139, repetitions=2))
         assert d.columns.shape == (278, 64)
         assert np.array_equal(d.columns, exact.astype(np.complex64))
         for j in range(64):
@@ -67,23 +68,24 @@ class TestPreambleDictionary:
 
     def test_power_scale(self):
         exact = _zadoff_chu_columns(8, 139, 2, 1 / 12, complex)
-        d = build_preamble_dictionary(size=8, base_length=139, repetitions=2, power_scale=1 / 12)
+        spec = PreambleSpec(size=8, base_length=139, repetitions=2, power_scale=1 / 12)
+        d = build_preamble_dictionary(spec)
         assert np.array_equal(d.columns, exact.astype(np.complex64))
         for j in range(8):
             e = float(np.sum(np.abs(exact[:, j]) ** 2))
             assert e == pytest.approx(278 / 12, rel=1e-9)
 
     def test_repetition_structure(self):
-        d = build_preamble_dictionary(size=4, base_length=31, repetitions=2)
+        d = build_preamble_dictionary(PreambleSpec(size=4, base_length=31, repetitions=2))
         for j in range(4):
             col = d.column(j)
             assert np.allclose(col[:31], col[31:], rtol=0, atol=1e-12)
 
     def test_single_gaussian_column_energy(self):
+        # Gaussian preambles are drawn from the fixed seed 0.
         exact = _gaussian_columns(1, 50, 50.0, np.random.default_rng(0), complex)
         d = build_preamble_dictionary(
-            size=1, base_length=50, kind=DictionaryKind.GAUSSIAN,
-            rng=np.random.default_rng(0),
+            PreambleSpec(size=1, base_length=50, kind=DictionaryKind.GAUSSIAN)
         )
         assert np.array_equal(d.columns, exact.astype(np.complex64))
         e = float(np.sum(np.abs(exact[:, 0]) ** 2))
@@ -91,8 +93,7 @@ class TestPreambleDictionary:
 
     def test_large_gaussian_coherence(self):
         d = build_preamble_dictionary(
-            size=8192, base_length=1778, kind=DictionaryKind.GAUSSIAN,
-            rng=np.random.default_rng(1),
+            PreambleSpec(size=8192, base_length=1778, kind=DictionaryKind.GAUSSIAN)
         )
         rng = np.random.default_rng(2)
         for _ in range(200):
@@ -102,48 +103,58 @@ class TestPreambleDictionary:
 
     def test_zc_overflow_suggests_gaussian(self):
         with pytest.raises(SequenceError, match="Gaussian"):
-            build_preamble_dictionary(size=10**6, base_length=139)
+            PreambleSpec(size=10**6, base_length=139)
 
     def test_gaussian_determinism(self):
-        d1 = build_preamble_dictionary(
-            size=16, base_length=40, kind=DictionaryKind.GAUSSIAN,
-            rng=np.random.default_rng(3),
-        )
-        d2 = build_preamble_dictionary(
-            size=16, base_length=40, kind=DictionaryKind.GAUSSIAN,
-            rng=np.random.default_rng(3),
-        )
+        spec = PreambleSpec(size=16, base_length=40, kind=DictionaryKind.GAUSSIAN)
+        d1 = build_preamble_dictionary(spec)
+        d2 = build_preamble_dictionary(spec)
         assert np.array_equal(d1.columns, d2.columns)
 
     def test_columns_immutable(self):
-        d = build_preamble_dictionary(size=4, base_length=31)
+        d = build_preamble_dictionary(PreambleSpec(size=4, base_length=31))
         with pytest.raises(ValueError):
             d.columns[0, 0] = 0.0
 
 
 class TestPilotDictionary:
     def test_energy_exact(self):
-        d = build_pilot_dictionary(16, 50, np.random.default_rng(0))
+        d = build_pilot_dictionary(16, 50)
         for j in range(16):
             e = float(np.sum(np.abs(d.column(j)) ** 2))
             assert e == pytest.approx(50.0, rel=1e-9)
 
     def test_size_one(self):
-        d = build_pilot_dictionary(1, 50, np.random.default_rng(0))
+        d = build_pilot_dictionary(1, 50)
         assert d.columns.shape == (50, 1)
 
     def test_pairwise_coherence_sampled(self):
-        low = 0
+        # 300 disjoint column pairs of one self-seeded dictionary.
         trials = 300
-        for seed in range(trials):
-            d = build_pilot_dictionary(2, 50, np.random.default_rng(seed))
-            coh = abs(np.vdot(d.column(0), d.column(1))) / energy(d.column(0))
+        d = build_pilot_dictionary(2 * trials, 50)
+        low = 0
+        for i in range(0, 2 * trials, 2):
+            coh = abs(np.vdot(d.column(i), d.column(i + 1))) / energy(d.column(i))
             if coh < 0.5:
                 low += 1
         assert low / trials >= 0.99
 
     def test_invalid_args(self):
         with pytest.raises(SequenceError):
-            build_pilot_dictionary(0, 50, np.random.default_rng(0))
+            build_pilot_dictionary(0, 50)
         with pytest.raises(SequenceError):
-            build_pilot_dictionary(2, 0, np.random.default_rng(0))
+            build_pilot_dictionary(2, 0)
+
+
+class TestPreambleSpec:
+    # The Zadoff-Chu rules are checked above and, through configs, in
+    # tests/test_cli.py.
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(size=0, base_length=31), "size"),
+        (dict(size=4, base_length=0, kind=DictionaryKind.GAUSSIAN), "base length"),
+        (dict(size=4, base_length=31, repetitions=0), "repetitions"),
+        (dict(size=4, base_length=31, power_scale=math.inf), "power scale"),
+    ])
+    def test_rejects(self, kwargs, match):
+        with pytest.raises(SequenceError, match=match):
+            PreambleSpec(**kwargs)
