@@ -26,6 +26,7 @@ from .channel import ChannelModel
 from .bounds import CurveError, load_reference_curve
 from .codec import CodecModel, CodecSpec, SlottedAlohaConfig
 from .montecarlo import (
+    MonteCarloError,
     PupeCurvePoint,
     SlottedAlohaExperiment,
     TwoStepExperiment,
@@ -306,21 +307,18 @@ def _scale_schedule(schedule: tuple[int, ...], scale: float) -> tuple[int, ...]:
     return tuple(max(1, math.ceil(t * scale)) for t in schedule)
 
 
-def _point_row(point: PupeCurvePoint) -> list:
-    snr = "" if point.min_snr_db is None else f"{point.min_snr_db:.6f}"
-    return [
-        point.scenario, point.channel, point.ka, snr,
-        f"{point.pupe:.8f}", f"{point.ci_low:.8f}", f"{point.ci_high:.8f}",
-        point.trials, point.seed, point.notes,
-    ]
-
-
-def write_csv(points: list[PupeCurvePoint], path: str) -> None:
+def write_csv(config: ExperimentConfig, seed: int, points: list[PupeCurvePoint], path):
+    """The points, labelled with the config's scenario and channel and the seed."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER.split(","))
-        for point in points:
-            writer.writerow(_point_row(point))
+        for p in points:
+            snr = "" if p.min_snr_db is None else f"{p.min_snr_db:.6f}"
+            writer.writerow([
+                config.scenario, config.channel, p.ka, snr,
+                f"{p.pupe:.8f}", f"{p.ci_low:.8f}", f"{p.ci_high:.8f}",
+                p.trials, seed, p.notes,
+            ])
 
 
 def _config_digest(config: ExperimentConfig, seed: int, trials_scale: float) -> str:
@@ -383,20 +381,11 @@ def run(
     pending = [ka for ka in config.ka_list if ka not in done]
     if pending:
         run_sweep(
-            experiment,
-            pending,
-            config.target_pupe,
-            config.snr_lo_db,
-            config.snr_hi_db,
-            seed,
-            tol_db=config.tol_db,
-            trials_schedule=schedule,
-            scenario=config.scenario,
-            channel=config.channel,
-            point_hook=checkpoint,
+            experiment, pending, config.target_pupe, config.snr_lo_db, config.snr_hi_db, seed,
+            tol_db=config.tol_db, trials_schedule=schedule, point_hook=checkpoint,
         )
     points = [done[ka] for ka in config.ka_list]
-    write_csv(points, out_path)
+    write_csv(config, seed, points, out_path)
     if os.path.exists(ckpt_path):
         os.remove(ckpt_path)
 
@@ -466,7 +455,7 @@ def main(argv=None) -> int:
             trials_scale=args.trials_scale,
             strict=args.strict,
         )
-    except (ConfigError, OSError) as exc:
+    except (ConfigError, MonteCarloError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -11,6 +11,7 @@ power per sample over unit-power noise.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -34,7 +35,8 @@ from .protocols import (
 # Trials received together by `run_trials`.  A two-step batch reads the
 # preamble dictionary once per OMP iteration instead of once per trial, and
 # holds this many frames and their users' signals at once.  Per-trial seeds
-# make the counts independent of how trials are batched.
+# make the counts independent of how trials are batched and of which
+# process runs a batch.
 TRIAL_BATCH = 16
 
 
@@ -48,10 +50,9 @@ class PupeEstimate:
     ci_low: float
     ci_high: float
     trials: int
-    seed: int
-    failures: int = 0          # messages missing from the decoded set
-    total: int = 0             # trials * ka
-    clashes: int = 0           # users that drew an already-drawn message
+    failures: int              # messages missing from the decoded set
+    total: int                 # trials * ka
+    clashes: int               # users that drew an already-drawn message
 
     def __post_init__(self):
         if not 0.0 <= self.ci_low <= self.pupe <= self.ci_high <= 1.0:
@@ -61,23 +62,18 @@ class PupeEstimate:
 
     @property
     def std_error(self) -> float:
-        if self.total == 0:
-            return 0.0
         p = self.pupe
         return math.sqrt(max(p * (1.0 - p), 1.0 / self.total) / self.total)
 
 
 @dataclass(frozen=True)
 class PupeCurvePoint:
-    scenario: str
-    channel: str
     ka: int
     min_snr_db: float | None       # None <=> not found below snr_hi
     pupe: float
     ci_low: float
     ci_high: float
     trials: int
-    seed: int
     notes: str = ""
 
 
@@ -203,26 +199,18 @@ def _trial_rng(seed: int, ka: int, probe: int, trial: int) -> np.random.Generato
     )
 
 
-def _trials_chunk(experiment, ka, snr_db, seed, probe, start, count):
-    failed = 0
-    clashes = 0
-    for first in range(start, start + count, TRIAL_BATCH):
-        rngs = [
-            _trial_rng(seed, ka, probe, t)
-            for t in range(first, min(first + TRIAL_BATCH, start + count))
-        ]
-        for f, c in experiment.run_trials(ka, snr_db, rngs):
-            failed += f
-            clashes += c
-    return failed, clashes
+def _run_batch(experiment, ka, snr_db, seed, probe, trials: range) -> tuple[int, int]:
+    """(failed, clashes) summed over one batch of trials."""
+    rngs = [_trial_rng(seed, ka, probe, t) for t in trials]
+    return tuple(map(sum, zip(*experiment.run_trials(ka, snr_db, rngs))))
 
 
 def _worker_count() -> int:
+    """UMAC_BENCH_THREADS, which must be a positive integer; unset means 1."""
     raw = os.environ.get("UMAC_BENCH_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+    if not (raw.isdecimal() and int(raw) >= 1):
+        raise MonteCarloError(f"UMAC_BENCH_THREADS must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def estimate_pupe(
@@ -235,30 +223,21 @@ def estimate_pupe(
 ) -> PupeEstimate:
     """Monte-Carlo PUPE: per trial, ka users draw i.i.d. uniform messages and
     the contribution is the count of messages absent from the decoded set.
-    A clashed message counts as decoded for every user that drew it."""
+    A clashed message counts as decoded for every user that drew it.  The
+    trials run in `TRIAL_BATCH` batches, here or over worker processes."""
     if trials < 1:
         raise MonteCarloError(f"trials must be >= 1, got {trials}")
     if ka < 1:
         raise MonteCarloError(f"ka must be >= 1, got {ka}")
     workers = _worker_count()
+    batches = [range(s, min(s + TRIAL_BATCH, trials)) for s in range(0, trials, TRIAL_BATCH)]
+    run_batch = functools.partial(_run_batch, experiment, ka, snr_db, seed, probe)
     if workers == 1 or trials < 4 * workers:
-        failed, clashes = _trials_chunk(experiment, ka, snr_db, seed, probe, 0, trials)
+        counts = list(map(run_batch, batches))
     else:
-        chunk = -(-trials // workers)
-        jobs = [
-            (start, min(chunk, trials - start)) for start in range(0, trials, chunk)
-        ]
-        failed = 0
-        clashes = 0
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_trials_chunk, experiment, ka, snr_db, seed, probe, s, c)
-                for s, c in jobs
-            ]
-            for fut in futures:
-                f, c = fut.result()
-                failed += f
-                clashes += c
+            counts = list(pool.map(run_batch, batches, chunksize=-(-len(batches) // workers)))
+    failed, clashes = map(sum, zip(*counts))
     total = trials * ka
     lo, hi = wilson_interval(failed, total)
     return PupeEstimate(
@@ -266,7 +245,6 @@ def estimate_pupe(
         ci_low=lo,
         ci_high=hi,
         trials=trials,
-        seed=seed,
         failures=failed,
         total=total,
         clashes=clashes,
@@ -286,8 +264,6 @@ def min_snr_for_pupe(
     seed: int,
     tol_db: float = 0.1,
     trials_schedule: tuple[int, ...] = (200, 500, 1000),
-    scenario: str = "scenario",
-    channel: str = "awgn",
 ) -> PupeCurvePoint:
     """Bisection on SNR (dB) for the smallest SNR with PUPE <= target_eps.
 
@@ -295,7 +271,8 @@ def min_snr_for_pupe(
     above PUPE at snr_lo by > 5 combined sigma) is flagged in `notes`, not
     hidden.  Early probes use coarse trial counts per `trials_schedule`; the
     feasibility decision at snr_hi uses the finest count.  Returns a point
-    with min_snr_db None when even snr_hi misses the target.
+    with min_snr_db None when even snr_hi misses the target.  Bisection
+    stops at `tol_db`, or earlier once no float lies between its bounds.
     """
     if not (math.isfinite(snr_lo) and math.isfinite(snr_hi)):
         raise MonteCarloError(f"snr_lo and snr_hi must be finite, got {snr_lo}, {snr_hi}")
@@ -311,35 +288,30 @@ def min_snr_for_pupe(
     def evaluate(snr_db: float, trials: int) -> PupeEstimate:
         return estimate_pupe(experiment, ka, snr_db, trials, seed, probe=next(probes))
 
-    if target_eps >= 1.0:
-        est = evaluate(snr_lo, trials_schedule[0])
+    def point(snr_db: float | None, est: PupeEstimate) -> PupeCurvePoint:
         return PupeCurvePoint(
-            scenario, channel, ka, snr_lo, est.pupe, est.ci_low, est.ci_high,
-            est.trials, seed, notes="target >= 1; any snr qualifies",
+            ka, snr_db, est.pupe, est.ci_low, est.ci_high, est.trials, "; ".join(notes)
         )
 
     est_lo = evaluate(snr_lo, trials_schedule[0])
     if est_lo.pupe <= target_eps:
-        return PupeCurvePoint(
-            scenario, channel, ka, snr_lo, est_lo.pupe, est_lo.ci_low, est_lo.ci_high,
-            est_lo.trials, seed, notes="target already met at snr_lo",
-        )
+        notes.append("target already met at snr_lo")
+        return point(snr_lo, est_lo)
     est_hi = evaluate(snr_hi, trials_schedule[-1])
     combined_se = math.hypot(est_lo.std_error, est_hi.std_error)
     if est_hi.pupe > est_lo.pupe + 5.0 * combined_se:
         notes.append("warning: PUPE non-monotone in SNR (hi > lo by > 5 sigma)")
     if est_hi.pupe > target_eps:
         notes.append(f"not found <= {snr_hi:g} dB")
-        return PupeCurvePoint(
-            scenario, channel, ka, None, est_hi.pupe, est_hi.ci_low, est_hi.ci_high,
-            est_hi.trials, seed, notes="; ".join(notes),
-        )
+        return point(None, est_hi)
 
     lo, hi = snr_lo, snr_hi
     best = est_hi
     depth = 0
     while hi - lo > tol_db:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         trials = trials_schedule[min(depth, len(trials_schedule) - 1)]
         est = evaluate(mid, trials)
         if est.pupe <= target_eps:
@@ -347,10 +319,7 @@ def min_snr_for_pupe(
         else:
             lo = mid
         depth += 1
-    return PupeCurvePoint(
-        scenario, channel, ka, hi, best.pupe, best.ci_low, best.ci_high,
-        best.trials, seed, notes="; ".join(notes),
-    )
+    return point(hi, best)
 
 
 def run_sweep(
@@ -362,8 +331,6 @@ def run_sweep(
     seed: int,
     tol_db: float = 0.1,
     trials_schedule: tuple[int, ...] = (200, 500, 1000),
-    scenario: str = "scenario",
-    channel: str = "awgn",
     point_hook=None,
 ) -> list[PupeCurvePoint]:
     """One min-SNR search per ka.  Per-trial seeds already embed ka, so the
@@ -373,7 +340,6 @@ def run_sweep(
         point = min_snr_for_pupe(
             experiment, ka, target_eps, snr_lo, snr_hi, seed,
             tol_db=tol_db, trials_schedule=trials_schedule,
-            scenario=scenario, channel=channel,
         )
         points.append(point)
         if point_hook is not None:

@@ -85,11 +85,15 @@ class TwoStepConfig:
         if not 1 <= self.rho <= self.n_occasions:
             raise ProtocolError(f"rho must be in [1, {self.n_occasions}], got {self.rho}")
         # The ML codec decodes a single occasion's samples, so it cannot
-        # combine copies; only the oracle codec models the rho-copy MRC.
-        if self.rho > 1 and self.codec.model is CodecModel.ML_RANDOM_GAUSSIAN:
+        # combine copies; only the oracle codec models the rho-copy MRC.  On
+        # a fading channel it decodes with the gain its pilot estimates.
+        ml = self.codec.model is CodecModel.ML_RANDOM_GAUSSIAN
+        if ml and self.rho > 1:
             raise ProtocolError(
                 f"the ML codec decodes one copy only and needs rho = 1, got {self.rho}"
             )
+        if ml and self.channel_model is ChannelModel.RAYLEIGH and self.pilot_len == 0:
+            raise ProtocolError("the ML codec on a rayleigh channel needs pilot_len > 0")
         if self.rho == 1 and self.preamble.size < self.n_occasions:
             raise ProtocolError(
                 "rho = 1 needs n_preambles >= n_occasions "
@@ -432,7 +436,7 @@ def _ml_attempt(
     occ = user.occasions[0]
     off = cfg.occasion_offset(occ) + cfg.pilot_len
     seg = y[off : off + cfg.codec.complex_uses]
-    if cfg.channel_model is ChannelModel.RAYLEIGH and cfg.pilot_len > 0:
+    if cfg.channel_model is ChannelModel.RAYLEIGH:
         poff = cfg.occasion_offset(occ)
         gain = ls_channel_estimate(y[poff : poff + cfg.pilot_len], user.copy_signal[: cfg.pilot_len])
     else:

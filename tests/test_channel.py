@@ -112,9 +112,10 @@ class TestAwgnTransmit:
 
 class TestFadingTransmit:
     def test_unit_gain_reduces_to_awgn(self):
-        users = users_of(small_cfg(), 2, np.random.default_rng(4))
-        fading = small_cfg(ChannelModel.RAYLEIGH)
-        assert np.array_equal(frame(fading, users, 11), frame(small_cfg(), users, 11))
+        awgn = small_cfg(pilot_len=16)
+        users = users_of(awgn, 2, np.random.default_rng(4))
+        fading = small_cfg(ChannelModel.RAYLEIGH, pilot_len=16)
+        assert np.array_equal(frame(fading, users, 11), frame(awgn, users, 11))
 
     def test_gain_second_moment(self, monkeypatch):
         records = []
@@ -129,7 +130,7 @@ class TestFadingTransmit:
         assert abs(m - 1.0) < 3 * se
 
     def test_opposite_gains_cancel(self):
-        cfg = small_cfg(ChannelModel.RAYLEIGH)
+        cfg = small_cfg(ChannelModel.RAYLEIGH, pilot_len=16)
         twins = [
             encode_user(cfg, 77, np.random.default_rng(0), gain=g, preamble_index=3)
             for g in (1.0 + 0.0j, -1.0 + 0.0j)

@@ -41,6 +41,22 @@ trials_schedule: [20, 40]
 seed: 7
 """
 
+# Whole CSVs of `run` at seed 2024 and trials scale 0.05.
+PRESET_CSVS = {
+    "slotted_aloha_mini": """\
+scenario,channel,ka,min_snr_db,pupe,ci_low,ci_high,trials,seed,notes
+slotted_aloha,awgn,1,-4.794922,0.00000000,0.00000000,0.07134760,50,2024,
+slotted_aloha,awgn,5,11.640625,0.02400000,0.01104478,0.05136212,50,2024,
+slotted_aloha,awgn,10,,0.09400000,0.07142641,0.12276456,50,2024,not found <= 40 dB
+""",
+    "twostep_awgn_mini": """\
+scenario,channel,ka,min_snr_db,pupe,ci_low,ci_high,trials,seed,notes
+twostep,awgn,1,-4.746094,0.05000000,0.00888145,0.23613119,20,2024,
+twostep,awgn,2,,0.15000000,0.07061188,0.29072324,20,2024,not found <= 20 dB
+twostep,awgn,3,20.000000,0.03333333,0.00918932,0.11363774,20,2024,
+""",
+}
+
 # scoped key -> (a preset that reads it, a preset that does not)
 SCOPES = {
     **{
@@ -246,9 +262,8 @@ class TestRun:
         fake = {
             "digest": _config_digest(c, c.seed, 1.0),
             "points": [{
-                "scenario": "slotted_aloha", "channel": "awgn", "ka": 1,
-                "min_snr_db": 12.5, "pupe": 0.01, "ci_low": 0.0, "ci_high": 0.02,
-                "trials": 999, "seed": c.seed, "notes": "from-checkpoint",
+                "ka": 1, "min_snr_db": 12.5, "pupe": 0.01, "ci_low": 0.0, "ci_high": 0.02,
+                "trials": 999, "notes": "from-checkpoint",
             }],
         }
         (tmp_path / "res.csv.ckpt.json").write_text(json.dumps(fake))
@@ -256,6 +271,25 @@ class TestRun:
         body = out.read_text()
         assert "from-checkpoint" in body
         assert not (tmp_path / "res.csv.ckpt.json").exists()
+
+    def test_checkpoint_with_csv_labels_ignored(self, tmp_path):
+        # Points once also held the scenario, channel and seed; a checkpoint
+        # of such points fails to load and the sweep is recomputed.
+        from umacsim.cli import _config_digest
+
+        c = parse_config(FAST_CONFIG)
+        out = tmp_path / "res.csv"
+        fake = {
+            "digest": _config_digest(c, c.seed, 1.0),
+            "points": [{
+                "scenario": "slotted_aloha", "channel": "awgn", "ka": 1,
+                "min_snr_db": 12.5, "pupe": 0.01, "ci_low": 0.0, "ci_high": 0.02,
+                "trials": 999, "seed": c.seed, "notes": "from-checkpoint",
+            }],
+        }
+        (tmp_path / "res.csv.ckpt.json").write_text(json.dumps(fake))
+        assert run(c, str(out), stream=io.StringIO()) == 0
+        assert "from-checkpoint" not in out.read_text()
 
     def test_stale_checkpoint_ignored(self, tmp_path):
         c = parse_config(FAST_CONFIG)
@@ -296,15 +330,22 @@ class TestRun:
         fake = {
             "digest": old_digest,
             "points": [{
-                "scenario": "slotted_aloha", "channel": "awgn", "ka": 1,
-                "min_snr_db": 12.5, "pupe": 0.01, "ci_low": 0.0, "ci_high": 0.02,
-                "trials": 999, "seed": c.seed, "notes": "from-checkpoint",
+                "ka": 1, "min_snr_db": 12.5, "pupe": 0.01, "ci_low": 0.0, "ci_high": 0.02,
+                "trials": 999, "notes": "from-checkpoint",
             }],
         }
         out = tmp_path / "res.csv"
         (tmp_path / "res.csv.ckpt.json").write_text(json.dumps(fake))
         run(c, str(out), stream=io.StringIO())
         assert "from-checkpoint" not in out.read_text()
+
+    @pytest.mark.parametrize("preset", sorted(PRESET_CSVS))
+    def test_preset_csv_bytes(self, tmp_path, preset):
+        out = tmp_path / "r.csv"
+        code = run(load_preset(preset), str(out), seed=2024, trials_scale=0.05,
+                   stream=io.StringIO())
+        assert code == 0
+        assert out.read_bytes() == PRESET_CSVS[preset].encode()
 
     def test_trials_scale(self, tmp_path):
         c = parse_config(FAST_CONFIG)
@@ -467,6 +508,23 @@ class TestMain:
         doc = dict(yaml.safe_load(FAST_CONFIG), ka_list=[1, 1])
         err = rejected_before_any_probe(tmp_path, monkeypatch, capsys, doc)
         assert "error: ka_list: needs distinct entries >= 1, got [1, 1]" in err
+
+    def test_ml_codec_on_rayleigh_without_pilots_rejected(self, tmp_path, monkeypatch, capsys):
+        # It decoded with gain 1 on a faded channel: PUPE near 0.6 at any SNR.
+        doc = yaml.safe_load(serialize_config(load_preset("twostep_awgn_mini")))
+        doc["channel"] = "rayleigh"
+        err = rejected_before_any_probe(tmp_path, monkeypatch, capsys, doc)
+        assert "error: the ML codec on a rayleigh channel needs pilot_len > 0" in err
+
+    def test_malformed_worker_count(self, tmp_path, monkeypatch, capsys):
+        # Used to run serially without a word.
+        path = tmp_path / "cfg.yaml"
+        path.write_text(FAST_CONFIG)
+        monkeypatch.setenv("UMAC_BENCH_THREADS", "abc")
+        assert main(["--config", str(path), "--out", str(tmp_path / "res.csv")]) == 1
+        err = capsys.readouterr().err
+        assert "error: UMAC_BENCH_THREADS must be a positive integer, got 'abc'" in err
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_list_presets(self, capsys):
         assert main(["--list-presets"]) == 0

@@ -113,8 +113,9 @@ class TestEstimatePupe:
         assert serial == parallel
 
     def test_batching_does_not_change_counts(self, monkeypatch):
-        # Serial runs batch the 37 trials as 16+16+5, two workers as
-        # 16+3 and 16+2, and run_trial as 37 batches of one.
+        # Serial runs and two workers both batch the 37 trials as 16+16+5
+        # (the workers take two batches and one), and run_trial as 37
+        # batches of one.
         cfg = TwoStepConfig(
             preamble=PreambleSpec(size=96, base_length=48, kind=DictionaryKind.GAUSSIAN),
             n_occasions=12,
@@ -140,6 +141,16 @@ class TestEstimatePupe:
             estimate_pupe(exp, 0, 0.0, 10, seed=1)
         with pytest.raises(MonteCarloError):
             estimate_pupe(exp, 1, 0.0, 0, seed=1)
+
+    @pytest.mark.parametrize("raw", ["abc", "0", "-3", "", "2.5"])
+    def test_malformed_worker_count_rejected_before_any_trial(self, monkeypatch, raw):
+        class NoTrials:
+            def run_trials(self, ka, snr_db, rngs):
+                raise AssertionError("trial run")
+
+        monkeypatch.setenv("UMAC_BENCH_THREADS", raw)
+        with pytest.raises(MonteCarloError, match=f"UMAC_BENCH_THREADS.*{raw!r}"):
+            estimate_pupe(NoTrials(), 1, 0.0, 40, seed=1)
 
 
 class TestMinSnrSearch:
@@ -193,6 +204,23 @@ class TestMinSnrSearch:
 
         with pytest.raises(MonteCarloError, match="tol_db"):
             min_snr_for_pupe(NoTrials(), 1, 0.05, -5.0, 50.0, seed=1, tol_db=tol_db)
+
+    def test_tolerance_below_float_spacing_ends(self):
+        # With tol_db under the spacing of floats near the step, the midpoint
+        # of adjacent bounds rounds to one of them; the search used to loop.
+        class Step:
+            probes = 0
+
+            def run_trials(self, ka, snr_db, rngs):
+                Step.probes += 1
+                if Step.probes > 200:
+                    raise AssertionError("bisection did not end")
+                return [(ka if snr_db < 3.0 else 0, 0) for _ in rngs]
+
+        point = min_snr_for_pupe(Step(), 1, 0.05, -5.0, 50.0, seed=1, tol_db=1e-300,
+                                 trials_schedule=(1,))
+        assert point.min_snr_db == 3.0
+        assert point.pupe == 0.0
 
     @pytest.mark.parametrize(
         "snr_lo, snr_hi",

@@ -133,6 +133,16 @@ class TestConfigs:
             TwoStepConfig(rho=2, **kw)
         assert TwoStepConfig(rho=1, **kw).rho == 1
 
+    def test_ml_codec_on_rayleigh_needs_pilots(self):
+        # Without a pilot the ML decoder has no gain estimate and assumed 1.
+        kw = dict(preamble=PreambleSpec(size=8, base_length=31, repetitions=2),
+                  n_occasions=8, codec=ML8, channel_model=ChannelModel.RAYLEIGH)
+        with pytest.raises(ProtocolError, match="pilot_len > 0"):
+            TwoStepConfig(pilot_len=0, **kw)
+        assert TwoStepConfig(pilot_len=8, **kw).pilot_len == 8
+        oracle = dict(kw, codec=ORACLE)
+        assert TwoStepConfig(pilot_len=0, **oracle).pilot_len == 0
+
 
 class TestEncode:
     def test_frame_sparsity(self):
