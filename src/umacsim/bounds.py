@@ -7,8 +7,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-
-from scipy.special import ndtri
+from statistics import NormalDist
 
 LOG2E = math.log2(math.e)
 
@@ -78,7 +77,7 @@ def q_inv(epsilon: float) -> float:
     """Upper quantile of the standard normal: Q(q_inv(eps)) = eps."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0,1), got {epsilon}")
-    return float(-ndtri(epsilon))
+    return -NormalDist().inv_cdf(epsilon)
 
 
 def normal_approx_log_m(query: BoundQuery) -> float:

@@ -26,5 +26,8 @@ def energy(x: np.ndarray) -> float:
 
 def complex_noise(n: int, variance: float, rng: np.random.Generator) -> np.ndarray:
     """Circularly-symmetric complex Gaussian, `variance` per complex sample."""
-    scale = math.sqrt(variance / 2.0)
-    return rng.normal(scale=scale, size=n) + 1j * rng.normal(scale=scale, size=n)
+    out = np.empty(n, dtype=complex)
+    out.real = rng.standard_normal(n)     # real parts drawn first, then imaginary
+    out.imag = rng.standard_normal(n)
+    out *= math.sqrt(variance / 2.0)
+    return out

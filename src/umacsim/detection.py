@@ -1,5 +1,6 @@
-"""Sparse preamble detection (OMP), energy detection, LS channel estimation,
-and the windowed subtraction primitive used by interference cancellation.
+"""Sparse preamble detection (OMP, its least squares on an inverse Cholesky
+factor), energy detection, LS channel estimation, and the windowed
+subtraction primitive used by interference cancellation.
 """
 from __future__ import annotations
 
@@ -7,7 +8,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import ztrsv
 
 from .channel import energy
 from .sequences import Dictionary
@@ -59,10 +59,10 @@ def omp_detect(
     `residual_threshold * energy(y)`, or when the picked column is linearly
     dependent on the selected ones (see `LS_PIVOT_TOL`; it is not selected).
 
-    The least squares is OMP-Cholesky: the Cholesky factor of the selected
-    columns' Gram matrix grows by one row per selection, so each iteration
-    costs O((length + size) * k) for the k selected columns, plus its share
-    of the few passes over the dictionary that `omp_detect_many` makes.
+    The least squares is OMP-Cholesky: the inverse of the Cholesky factor of
+    the selected columns' Gram matrix grows by one row per selection, so each
+    iteration costs O((length + size) * k) for the k selected columns, plus
+    its share of the few passes over the dictionary `omp_detect_many` makes.
     `coefficients` are in the units of the dictionary passed in;
     the selected indices do not change when every column is scaled exactly
     by the same positive constant.  This is `omp_detect_many` on one signal.
@@ -82,8 +82,8 @@ def omp_detect_many(
     """`omp_detect` on every column of `ys` (shape (length, B)), in lockstep.
 
     `max_iters` and `residual_threshold` are scalars or one value per column.
-    Each column keeps its own selections, Cholesky factor and stopping rule;
-    only the passes over the dictionary are shared.
+    Each column keeps its own selections, inverse Cholesky factor and
+    stopping rule; only the passes over the dictionary are shared.
 
     Correlations are updated from Gram rows, not recomputed from the
     residual (Batch-OMP, Rubinstein, Zibulevsky & Elad 2008).  One pass
@@ -205,7 +205,11 @@ def _rounding_bound(n: int, dtype, max_norm: float) -> Callable[[int, float, flo
 
 
 class _CholeskyOmp:
-    """One signal's OMP-Cholesky state inside `omp_detect_many`."""
+    """One signal's OMP-Cholesky state inside `omp_detect_many`: R = L^-1
+    for the lower Cholesky factor L of A_s^H A_s, and z = R A_s^H y, so the
+    least-squares coefficients are R^H z.  A selection appends a row to R and
+    an entry to z, with no triangular solve.  R's rounding error grows with
+    the condition number of A_s, which `LS_PIVOT_TOL` bounds."""
 
     def __init__(self, y: np.ndarray, a: np.ndarray, max_iters: int, residual_threshold: float):
         self.a = a
@@ -214,8 +218,8 @@ class _CholeskyOmp:
         self.stop_energy = residual_threshold * e_y
         self.max_iters = max(0, min(max_iters, a.shape[1]))
         self.selected: list[int] = []
-        # L L^H = Gram matrix of the selected columns, and L z = A_s^H y.
-        self.chol = np.zeros((self.max_iters, self.max_iters), dtype=complex, order="F")
+        # R = L^-1 for L L^H = A_s^H A_s, and z = R A_s^H y.
+        self.inv_chol = np.zeros((self.max_iters, self.max_iters), dtype=complex)
         self.z = np.empty(self.max_iters, dtype=complex)
         self.coef = np.zeros(0, dtype=complex)
         self.residual = self.y
@@ -281,35 +285,27 @@ class _CholeskyOmp:
         rows = self.a.T[self.selected + [j]].astype(complex, copy=False)
         col = rows[k]
         col_energy = energy(col)
-        # New Cholesky row [w^H, d]: L w = A_s^H a_j, d^2 = |a_j|^2 - |w|^2.
-        # Triangular solves call BLAS trsv directly: the checked scipy
-        # wrappers cost more than the solves at these sizes.
-        w = (rows[:k] @ col.conj()).conj()
-        if k:
-            w = ztrsv(self.chol[:k, :k], w, lower=1)
+        # L gains the row [w^H, d] with w = R A_s^H a_j, d^2 = |a_j|^2 - |w|^2,
+        # so R = L^-1 gains the row [-(w^H R) / d, 1 / d].
+        r = self.inv_chol
+        w = r[:k, :k] @ (rows[:k] @ col.conj()).conj()
         pivot = col_energy - energy(w)
         if pivot <= LS_PIVOT_TOL * col_energy:
             self.running = False
             return
         d = np.sqrt(pivot)
-        self.chol[k, :k] = w.conj()
-        self.chol[k, k] = d
+        r[k, :k] = -(w.conj() @ r[:k, :k]) / d
+        r[k, k] = 1.0 / d
         self.z[k] = (np.vdot(col, self.y) - np.vdot(w, self.z[:k])) / d
         self.selected.append(j)
-        # L^H c = z
-        self.coef = ztrsv(self.chol[: k + 1, : k + 1], self.z[: k + 1], lower=1, trans=2)
+        self.coef = (self.z[: k + 1].conj() @ r[: k + 1, : k + 1]).conj()
         self.residual = self.y - rows.T @ self.coef
-        e_r = energy(self.residual)
         # LS projection cannot increase the residual; clamp float jitter.
-        self.res_energy = min(self.res_energy, e_r)
+        self.res_energy = min(self.res_energy, energy(self.residual))
         self.running = k + 1 < self.max_iters and self.res_energy > self.stop_energy
 
     def result(self) -> DetectionResult:
-        return DetectionResult(
-            indices=self.selected,
-            coefficients=self.coef,
-            residual_energy=self.res_energy,
-        )
+        return DetectionResult(self.selected, self.coef, self.res_energy)
 
 
 def energy_detect(y_segment: np.ndarray, threshold: float) -> bool:

@@ -183,6 +183,20 @@ class TestNoiseStatistics:
             se = math.sqrt(2.0 / len(z)) * 0.4   # var of sample variance ~ 2 sigma^4 / n
             assert abs(var - 0.4) < 3 * se
 
+    @pytest.mark.parametrize("n", [0, 1, 7, 4096, 19478])
+    @pytest.mark.parametrize("variance", [1.0, 0.8])
+    def test_draw_matches_two_scaled_normals(self, n, variance):
+        """The same samples, bit for bit, and the same generator state after
+        the draw, as the sum of two `normal` arrays the noise was once."""
+        scale = math.sqrt(variance / 2.0)
+        for seed in range(40):
+            rng, old = np.random.default_rng(seed), np.random.default_rng(seed)
+            z = complex_noise(n, variance, rng)
+            expected = old.normal(scale=scale, size=n) + 1j * old.normal(scale=scale, size=n)
+            assert z.dtype == expected.dtype and z.shape == (n,)
+            assert z.view(np.float64).tobytes() == expected.view(np.float64).tobytes()
+            assert rng.bit_generator.state == old.bit_generator.state
+
 
 class TestEbn0:
     """`cli.ebn0_db`: Eb/N0 = n P / (2 sigma^2 log2 M) with sigma^2 = 1."""

@@ -164,6 +164,38 @@ class TestOmpEquivalence:
         assert len(res.indices) == len(set(res.indices))
         assert np.linalg.matrix_rank(a[:, res.indices]) == len(res.indices)
 
+    @pytest.mark.parametrize("r", [1e-6, 1e-9, 1e-11])
+    def test_near_dependent_pair_matches_lstsq(self, r):
+        """Column 1 is a0 + sqrt(r) a1, normalised: its squared distance from
+        column 0 is about r, above LS_PIVOT_TOL, so OMP must select both and
+        solve a least squares whose Gram matrix has condition number ~1/r.
+
+        The normal-equation error grows as eps / r.  The tolerances are about
+        ten times the worst errors over these 200 seeds of the Cholesky kernel
+        with BLAS triangular solves (7.3 eps / r in the coefficients, 1.4 eps / r
+        in the residual): 64 eps / r and 16 eps / r.  The residual energies
+        differ by at most twice the residuals' relative distance."""
+        eps = np.finfo(float).eps
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            a = gaussian_dict(24, 8, rng)
+            col = a[:, 0] + math.sqrt(r) * a[:, 1]
+            a[:, 1] = col / np.linalg.norm(col)
+            coefs = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+            y = a @ coefs + 0.1 * complex_noise(24, 1.0, rng)
+            res = omp_detect(y, a, max_iters=8)
+            assert res.indices == reference_omp(y, a, 8)[0]
+            assert sorted(res.indices) == list(range(8))
+            sub = a[:, res.indices]
+            coef = np.linalg.lstsq(sub, y, rcond=None)[0]
+            residual = y - sub @ coef
+            assert np.linalg.norm(res.coefficients - coef) <= 64 * eps / r * np.linalg.norm(coef)
+            residual_tol = 16 * eps / r
+            assert np.linalg.norm(y - sub @ res.coefficients - residual) <= (
+                residual_tol * np.linalg.norm(residual)
+            )
+            assert res.residual_energy == pytest.approx(energy(residual), rel=2 * residual_tol)
+
     def test_parallel_columns_select_one(self):
         c = gaussian_dict(12, 1, 0)[:, 0]
         a = np.column_stack([c, c, 2.0 * c])
