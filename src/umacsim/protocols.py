@@ -159,8 +159,9 @@ def pattern_from_index(index: int, n: int, rho: int) -> tuple[int, ...]:
 def build_dictionaries(cfg: TwoStepConfig) -> tuple[Dictionary, Dictionary | None]:
     """Unit-sample-power preamble and pilot dictionaries for a config.
 
-    The preamble dictionary is built first, so the pilots are not yet alive
-    while its complex128 staging sets the peak memory.
+    Each is built in the array that keeps it, with at most about 20 MB of
+    chunk buffers besides, so building them takes little more memory than
+    keeping them.
     """
     pre = build_preamble_dictionary(cfg.preamble)
     pilots = None

@@ -6,7 +6,9 @@ user's transmit power scales its column at encoding time.  Preamble columns
 are stored as complex64, the rounding of the complex128 values the private
 column builders compute; pilot columns stay complex128.  Both are stored
 with contiguous columns (Fortran order).  Gaussian columns are drawn from
-fixed seeds, so a `PreambleSpec` alone fixes its dictionary.
+fixed seeds, so a `PreambleSpec` alone fixes its dictionary, and are built
+in the array that keeps them: the build holds no complex128 copy of a
+complex64 dictionary, only chunk buffers of about _DRAW_BLOCK values.
 """
 from __future__ import annotations
 
@@ -125,10 +127,12 @@ def zadoff_chu(root: int, length: int) -> np.ndarray:
     return np.exp(-1j * np.pi * root * m * (m + 1) / length)
 
 
-# Gaussian columns are drawn in row blocks of about this many values and
-# normalised in blocks of this many columns, so building a large dictionary
-# holds one complex128 copy of it at most.
+# Gaussian columns are drawn in chunks of rows of about _DRAW_BLOCK values;
+# a chunk is copied to and from the column-major output in tiles of _TILE
+# columns, which keeps each transposing copy in cache.  The dictionary's
+# columns are upcast _NORM_BLOCK at a time to find the largest norm.
 _DRAW_BLOCK = 1 << 19
+_TILE = 1024
 _NORM_BLOCK = 128
 
 
@@ -137,33 +141,64 @@ def _gaussian_columns(
 ) -> np.ndarray:
     """i.i.d. CN columns scaled to `target_energy`, rounded to `dtype`.
 
-    Before rounding, bit-identical to drawing a (length, size) real block,
-    then an imaginary block, and scaling by sqrt(target_energy) /
-    np.linalg.norm(axis=0).  The draw is written into complex128 blocks of
-    columns; each is normalised, rounded into the Fortran-order output and
-    freed in turn.
+    The values of drawing a (length, size) real block, then an imaginary
+    block, scaling by sqrt(target_energy) / np.linalg.norm(axis=0) and
+    rounding, with `rng` left in the same state.  No complex128 copy of the
+    columns is made: the real rows are parked as float64 in the output's
+    own bytes, and the imaginary rows are drawn twice from the same
+    generator state, once to sum the column norms and once to write the
+    scaled rows over the parked ones.  Besides the output, the build holds
+    three chunk buffers of about _DRAW_BLOCK values.
     """
-    edges = [*range(0, size, _NORM_BLOCK), size]
-    # np.linalg.norm(axis=0) reduces a single column by a different (pairwise)
-    # summation, so a one-column tail is folded into the previous block.
-    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
-        del edges[-2]
-    spans = list(zip(edges, edges[1:]))
-    blocks = [np.empty((length, c1 - c0), dtype=complex) for c0, c1 in spans]
-    rows = max(1, _DRAW_BLOCK // size)
-    for part in ("real", "imag"):
-        for r0 in range(0, length, rows):
-            draw = rng.standard_normal((min(rows, length - r0), size))
-            for block, (c0, c1) in zip(blocks, spans):
-                getattr(block, part)[r0 : r0 + rows] = draw[:, c0:c1]
     cols = np.empty((length, size), dtype=dtype, order="F")
-    scale = math.sqrt(target_energy)
-    for i, (c0, c1) in enumerate(spans):
-        block, blocks[i] = blocks[i], None
-        block *= scale / np.linalg.norm(block, axis=0)
-        # Copied in tiles of rows, which keeps the transposing copy in cache.
-        for r0 in range(0, length, 64):
-            cols[r0 : r0 + 64, c0:c1] = block[r0 : r0 + 64]
+    # Row r of a column is parked in the bytes that its output value takes.
+    parked = cols.real if cols.dtype == np.complex128 else cols.view(np.float64)
+    # np.linalg.norm(axis=0) sums the squares of a C-order block of two or
+    # more columns row by row, but of a single column pairwise, so a
+    # one-column dictionary is drawn as one chunk.
+    rows = length if size == 1 else max(1, _DRAW_BLOCK // size)
+    chunks = [(r0, min(r0 + rows, length)) for r0 in range(0, length, rows)]
+    tiles = [slice(c0, c0 + _TILE) for c0 in range(0, size, _TILE)]
+    draw = np.empty((min(rows, length), size))
+    x, prod = (np.empty(draw.shape, dtype=complex) for _ in range(2))
+
+    for r0, r1 in chunks:
+        real = rng.standard_normal(out=draw[: r1 - r0])
+        for t in tiles:
+            parked[r0:r1, t] = real[:, t]
+
+    imag_state = rng.bit_generator.state
+    sq = np.zeros(size)
+    for r0, r1 in chunks:
+        xc = x[: r1 - r0]
+        for t in tiles:
+            xc.real[:, t] = parked[r0:r1, t]
+        xc.imag = rng.standard_normal(out=draw[: r1 - r0])
+        # The squares as np.linalg.norm takes them, by numpy's complex
+        # multiply: re*re + im*im rounds differently where that multiply fuses.
+        terms = np.multiply(np.conjugate(xc, out=prod[: r1 - r0]), xc, out=prod[: r1 - r0])
+        if size == 1:
+            sq = np.add.reduce(terms.real, axis=0)
+        else:
+            for row in terms.real:
+                sq += row
+    gain = math.sqrt(target_energy) / np.sqrt(sq)
+
+    # A complex value times a real gain rounds as its two parts times the
+    # gain do (but for the sign of an exact zero), so each part is scaled on
+    # its own, then rounded into place.
+    rng.bit_generator.state = imag_state
+    scaled = x.view(np.float64).reshape(-1)
+    for r0, r1 in chunks:
+        real = np.multiply(
+            parked[r0:r1], gain, out=scaled[: (r1 - r0) * size].reshape((-1, size), order="F")
+        )
+        # Rows r0:r1 of the output overwrite only the parked rows r0:r1.
+        cols.real[r0:r1] = real
+        imag = rng.standard_normal(out=draw[: r1 - r0])
+        imag *= gain
+        for t in tiles:
+            cols.imag[r0:r1, t] = imag[:, t]
     return cols
 
 

@@ -1,9 +1,13 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import umacsim
 from umacsim.channel import energy
 from umacsim.sequences import (
     Dictionary,
@@ -115,6 +119,61 @@ class TestPreambleDictionary:
         d = build_preamble_dictionary(PreambleSpec(size=4, base_length=31))
         with pytest.raises(ValueError):
             d.columns[0, 0] = 0.0
+
+
+def naive_gaussian_columns(size, length, target_energy, rng, dtype):
+    """The whole draw at once: one real block, one imaginary block, then
+    each column scaled by sqrt(target_energy) / its 2-norm."""
+    x = rng.standard_normal((length, size)) + 1j * rng.standard_normal((length, size))
+    x *= math.sqrt(target_energy) / np.linalg.norm(x, axis=0)
+    return x.astype(dtype)
+
+
+class TestGaussianColumns:
+    # One column (which np.linalg.norm sums pairwise), widths around 128,
+    # several row chunks, and chunks of one row spanning many column tiles.
+    @pytest.mark.parametrize("size, length", [
+        (1, 50), (1, 139), (2, 50), (127, 40), (128, 40), (129, 40), (257, 33),
+        (600, 1000), (2**19 + 3, 3),
+    ])
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    def test_matches_naive_draw(self, size, length, dtype):
+        # Seed 0 is one at which summing a single column row by row, not
+        # pairwise, changes the complex128 bytes at both lengths.
+        energy_ = 0.75 * length
+        rng = np.random.default_rng(0)
+        ref_rng = np.random.default_rng(0)
+        cols = _gaussian_columns(size, length, energy_, rng, dtype)
+        ref = naive_gaussian_columns(size, length, energy_, ref_rng, dtype)
+        assert cols.dtype == dtype and cols.shape == (length, size)
+        assert cols.flags.f_contiguous
+        assert cols.tobytes(order="F") == ref.tobytes(order="F")
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
+    def test_build_memory_is_the_stored_bytes(self):
+        """Building `sbidma_tuned`'s dictionaries (8192 Gaussian preambles of
+        length 1778) raises the peak RSS by little more than the bytes they
+        keep: no complex128 copy of the preambles is staged."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(umacsim.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        code = (
+            "import resource\n"
+            "from umacsim.cli import build_experiment, load_preset\n"
+            "from umacsim.protocols import build_dictionaries\n"
+            "config = build_experiment(load_preset('sbidma_tuned')).config\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "pre, pilots = build_dictionaries(config)\n"
+            "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "print((after - before) * 1024, pre.columns.nbytes + pilots.columns.nbytes)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, env=env, timeout=300, check=True,
+        )
+        growth, stored = map(int, proc.stdout.split())
+        assert growth <= 1.4 * stored, f"peak grew {growth / stored:.2f}x the stored bytes"
 
 
 class TestPilotDictionary:
