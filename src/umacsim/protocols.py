@@ -159,9 +159,9 @@ def pattern_from_index(index: int, n: int, rho: int) -> tuple[int, ...]:
 def build_dictionaries(cfg: TwoStepConfig) -> tuple[Dictionary, Dictionary | None]:
     """Unit-sample-power preamble and pilot dictionaries for a config.
 
-    Each is built in the array that keeps it, with at most about 20 MB of
-    chunk buffers besides, so building them takes little more memory than
-    keeping them.
+    Each is built in the array that keeps it, with chunk buffers of about
+    24 MiB besides, so building them takes little more memory than keeping
+    them.
     """
     pre = build_preamble_dictionary(cfg.preamble)
     pilots = None

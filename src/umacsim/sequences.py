@@ -13,6 +13,7 @@ complex64 dictionary, only chunk buffers of about _DRAW_BLOCK values.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -147,8 +148,9 @@ def _gaussian_columns(
     columns is made: the real rows are parked as float64 in the output's
     own bytes, and the imaginary rows are drawn twice from the same
     generator state, once to sum the column norms and once to write the
-    scaled rows over the parked ones.  Besides the output, the build holds
-    three chunk buffers of about _DRAW_BLOCK values.
+    scaled rows over the parked ones.  Each chunk of rows is drawn in a
+    worker thread while the one before it is copied.  Besides the output,
+    the build holds four chunk buffers of about _DRAW_BLOCK values.
     """
     cols = np.empty((length, size), dtype=dtype, order="F")
     # Row r of a column is parked in the bytes that its output value takes.
@@ -159,21 +161,27 @@ def _gaussian_columns(
     rows = length if size == 1 else max(1, _DRAW_BLOCK // size)
     chunks = [(r0, min(r0 + rows, length)) for r0 in range(0, length, rows)]
     tiles = [slice(c0, c0 + _TILE) for c0 in range(0, size, _TILE)]
-    draw = np.empty((min(rows, length), size))
-    x, prod = (np.empty(draw.shape, dtype=complex) for _ in range(2))
+    draws = [np.empty((min(rows, length), size)) for _ in range(2)]
+    x, prod = (np.empty(draws[0].shape, dtype=complex) for _ in range(2))
 
-    for r0, r1 in chunks:
-        real = rng.standard_normal(out=draw[: r1 - r0])
+    def drawn_rows():
+        """(r0, r1, the next draw of rows r0:r1) for each chunk.  Draws
+        alternate between two buffers: _prefetched draws one chunk ahead,
+        so the caller is done with a chunk before the draw two after it."""
+        for i, (r0, r1) in enumerate(chunks):
+            yield r0, r1, rng.standard_normal(out=draws[i % 2][: r1 - r0])
+
+    for r0, r1, real in _prefetched(drawn_rows()):
         for t in tiles:
             parked[r0:r1, t] = real[:, t]
 
     imag_state = rng.bit_generator.state
     sq = np.zeros(size)
-    for r0, r1 in chunks:
+    for r0, r1, imag in _prefetched(drawn_rows()):
         xc = x[: r1 - r0]
         for t in tiles:
             xc.real[:, t] = parked[r0:r1, t]
-        xc.imag = rng.standard_normal(out=draw[: r1 - r0])
+        xc.imag = imag
         # The squares as np.linalg.norm takes them, by numpy's complex
         # multiply: re*re + im*im rounds differently where that multiply fuses.
         terms = np.multiply(np.conjugate(xc, out=prod[: r1 - r0]), xc, out=prod[: r1 - r0])
@@ -189,17 +197,28 @@ def _gaussian_columns(
     # its own, then rounded into place.
     rng.bit_generator.state = imag_state
     scaled = x.view(np.float64).reshape(-1)
-    for r0, r1 in chunks:
+    for r0, r1, imag in _prefetched(drawn_rows()):
         real = np.multiply(
             parked[r0:r1], gain, out=scaled[: (r1 - r0) * size].reshape((-1, size), order="F")
         )
         # Rows r0:r1 of the output overwrite only the parked rows r0:r1.
         cols.real[r0:r1] = real
-        imag = rng.standard_normal(out=draw[: r1 - r0])
         imag *= gain
         for t in tiles:
             cols.imag[r0:r1, t] = imag[:, t]
     return cols
+
+
+def _prefetched(items):
+    """Yield from the iterator `items`, which yields no None, computing each
+    next item in a worker thread while the caller uses the current one.
+    numpy's random fills and array copies release the GIL, so a draw
+    overlaps the copies of the chunk before it."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        pending = pool.submit(next, items, None)
+        while (item := pending.result()) is not None:
+            pending = pool.submit(next, items, None)
+            yield item
 
 
 def _zadoff_chu_columns(

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -149,6 +150,29 @@ class TestGaussianColumns:
         assert cols.flags.f_contiguous
         assert cols.tobytes(order="F") == ref.tobytes(order="F")
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_concurrent_builds_under_fast_switching(self):
+        """Four builds at once, more threads than cores, each prefetching its
+        four chunks of draws in a worker thread of its own, while the
+        interpreter switches threads as often as it can."""
+        size, length, seeds = 512, 3100, range(4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=len(seeds)) as pool:
+                futures = [
+                    pool.submit(_gaussian_columns, size, length, length,
+                                np.random.default_rng(seed), np.complex64)
+                    for seed in seeds
+                ]
+                built = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for seed, cols in zip(seeds, built):
+            ref = naive_gaussian_columns(
+                size, length, length, np.random.default_rng(seed), np.complex64
+            )
+            assert cols.tobytes(order="F") == ref.tobytes(order="F")
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
     def test_build_memory_is_the_stored_bytes(self):
