@@ -4,7 +4,9 @@ subtraction primitive used by interference cancellation.
 """
 from __future__ import annotations
 
+import os
 from collections.abc import Callable
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,10 +23,18 @@ LS_PIVOT_TOL = 1e-12
 # needs also fetches the rows of that signal's FETCH_AHEAD largest
 # correlations without one, its likeliest next picks.  A row costs far
 # less inside a wide pass than a pass does (on a 2-vCPU Xeon with
-# OpenBLAS 0.3, a (64, 1778) x (1778, 8192) complex64 product takes
-# 0.84 ms per row, a one-row product 5.9 ms), so fetching ahead saves
-# passes.  It changes how many passes a call makes, never its results.
+# OpenBLAS 0.3 on one thread and the pass split over both CPUs, a
+# (64, 1778) x (1778, 8192) complex64 product takes 0.78-0.93 ms per row,
+# a one-row product 6.6-7.3 ms), so fetching ahead saves passes.  It
+# changes how many passes a call makes, never its results.
 FETCH_AHEAD = 8
+
+# A pass over a dictionary of at least this many bytes is split into one
+# contiguous column block per CPU, the blocks multiplied concurrently in
+# threads (numpy releases the GIL in matmul), since umacsim runs BLAS on
+# one thread.  Below it a pass is made whole: splitting a dictionary that
+# small (twostep_rayleigh_1024's is 2.3 MB) costs more than it saves.
+SPLIT_BYTES = 1 << 24
 
 
 class DetectionError(ValueError):
@@ -96,7 +106,11 @@ def omp_detect_many(
     signal, the rows of its `FETCH_AHEAD` largest correlations that have
     none yet, its likeliest next picks.  A pass costs little more per row
     when it is wide, so a call makes a few wide passes instead of one
-    narrow pass per iteration.  The rows live for the call only.
+    narrow pass per iteration.  The rows live for the call only.  Over a
+    dictionary of at least `SPLIT_BYTES` (`sbidma_tuned`'s, not
+    `twostep_rayleigh_1024`'s), both kinds of pass are split into one
+    column block per CPU, the blocks multiplied concurrently (`_pass`),
+    because umacsim runs BLAS on one thread.
 
     The correlations run in the dictionary's own precision: complex64 for
     the preamble dictionaries, whose contiguous columns make the passes
@@ -132,7 +146,7 @@ def omp_detect_many(
     for row, state in zip(conj_ys, running):
         np.conjugate(state.y, out=row)
     # |conj(r)^T a_j| == |a_j^H r| without a conjugated dictionary copy.
-    for state, beta0 in zip(running, conj_ys @ a):
+    for state, beta0 in zip(running, _pass(conj_ys, a)):
         state.beta0 = beta0
     gram: dict[int, np.ndarray] = {}                  # atom j -> conj(a_j)^T A
     while running:
@@ -147,10 +161,38 @@ def omp_detect_many(
         if waiting:
             # One pass for the rows every waiting signal wants, without repeats.
             want = dict.fromkeys(j for s in waiting for j in s.wanted(gram))
-            for j, row in zip(want, a[:, list(want)].conj().T @ a):
+            for j, row in zip(want, _pass(a[:, list(want)].conj().T, a)):
                 gram[j] = row
         running = waiting
     return [s.result() for s in states]
+
+
+def _pass(rows: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """rows @ a, over a dictionary of at least `SPLIT_BYTES` split into one
+    contiguous column block of `a` per CPU this process may run on.  The
+    blocks are multiplied at once, the first in the calling thread and each
+    other one in a thread of its own, straight into their columns of one
+    row-major output (BLAS writes them with the output's row stride), so
+    the rows the caller keeps stay contiguous and no block is copied.  The
+    pool lives for the call, so no thread outlives it into a forked worker.
+    A split pass need not round as a whole one does; its results only feed
+    `_CholeskyOmp._pick`, which is exact for any summation order."""
+    workers = (
+        len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    )
+    if a.nbytes < SPLIT_BYTES or workers < 2:
+        return rows @ a
+    size = a.shape[1]
+    out = np.empty((rows.shape[0], size), np.result_type(rows, a))
+    edges = [size * i // workers for i in range(workers + 1)]
+    blocks = [slice(c0, c1) for c0, c1 in zip(edges, edges[1:])]
+    # One thread, and one BLAS work buffer, fewer than a block per thread.
+    with ThreadPoolExecutor(workers - 1) as pool:
+        rest = [pool.submit(np.matmul, rows, a[:, b], out=out[:, b]) for b in blocks[1:]]
+        np.matmul(rows, a[:, blocks[0]], out=out[:, blocks[0]])
+        for done in rest:
+            done.result()
+    return out
 
 
 def _rounding_bound(n: int, dtype, max_norm: float) -> Callable[[int, float, float], float]:

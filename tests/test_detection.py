@@ -1,13 +1,19 @@
+import concurrent.futures
 import math
+import multiprocessing
+import os
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from umacsim import detection
 from umacsim.channel import complex_noise, energy
 from umacsim.detection import (
     FETCH_AHEAD,
+    SPLIT_BYTES,
     DetectionError,
     energy_detect,
     ls_channel_estimate,
@@ -360,6 +366,88 @@ class TestGramRows:
             assert res.indices == ref.indices
             np.testing.assert_allclose(res.coefficients, ref.coefficients, rtol=0, atol=1e-10)
             assert abs(res.residual_energy - ref.residual_energy) <= 1e-10
+
+
+def split_problem():
+    """A complex64 Gaussian dictionary of exactly `SPLIT_BYTES`, the smallest
+    whose passes are split, and four signals of 6 atoms each plus noise."""
+    rows = 128
+    rng = np.random.default_rng(12)
+    a = gaussian_dict(rows, SPLIT_BYTES // (8 * rows), rng).astype(np.complex64, order="F")
+    ys = np.empty((rows, 4), dtype=complex)
+    for b in range(ys.shape[1]):
+        support = rng.choice(a.shape[1], 6, replace=False)
+        coefs = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        ys[:, b] = a[:, support].astype(complex) @ coefs + 0.05 * complex_noise(rows, 1.0, rng)
+    return a, ys
+
+
+def detect_bytes(ys, a, max_iters):
+    """omp_detect_many's results as comparable values: the indices, the
+    coefficient bytes and the residual energy of each signal."""
+    return [
+        (r.indices, r.coefficients.tobytes(), r.residual_energy)
+        for r in omp_detect_many(ys, a, max_iters)
+    ]
+
+
+class TestSplitPasses:
+    def test_split_matches_whole(self, monkeypatch):
+        """Splitting the passes changes no selection and no coefficient bit."""
+        a, ys = split_problem()
+        pools = []
+
+        class CountedPool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(detection, "ThreadPoolExecutor", CountedPool)
+        split = detect_bytes(ys, a, 10)
+        if hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1:
+            assert pools
+        monkeypatch.setattr(detection, "SPLIT_BYTES", a.nbytes + 1)
+        calls = len(pools)
+        assert detect_bytes(ys, a, 10) == split
+        assert len(pools) == calls
+        wide = a.astype(complex)
+        for b, (indices, _, _) in enumerate(split):
+            assert indices == omp_detect(ys[:, b], wide, 10).indices
+
+    def test_more_blocks_than_cores(self, monkeypatch):
+        """Seven uneven blocks in seven threads on fewer cores, switching
+        threads every microsecond, give the whole pass's results."""
+        a, ys = split_problem()
+        with monkeypatch.context() as whole:
+            whole.setattr(detection, "SPLIT_BYTES", a.nbytes + 1)
+            expected = detect_bytes(ys, a, 10)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(7)), raising=False)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert detect_bytes(ys, a, 10) == expected
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
+    )
+    def test_forked_worker_after_split_pass(self):
+        """A worker forked after the parent made split passes (the way
+        UMAC_BENCH_THREADS runs its pool) makes them too, and gets the
+        parent's results."""
+        a, ys = split_problem()
+        parent = detect_bytes(ys, a, 10)
+        fork = multiprocessing.get_context("fork")
+        with concurrent.futures.ProcessPoolExecutor(1, mp_context=fork) as pool:
+            future = pool.submit(detect_bytes, ys, a, 10)
+            try:
+                child = future.result(timeout=60)
+            except concurrent.futures.TimeoutError:
+                for process in multiprocessing.active_children():
+                    process.kill()
+                raise
+        assert child == parent
 
 
 class TestEnergyDetect:
