@@ -26,8 +26,17 @@ LS_PIVOT_TOL = 1e-12
 # OpenBLAS 0.3 on one thread and the pass split over both CPUs, a
 # (64, 1778) x (1778, 8192) complex64 product takes 0.78-0.93 ms per row,
 # a one-row product 6.6-7.3 ms), so fetching ahead saves passes.  It
-# changes how many passes a call makes, never its results.
+# changes how many passes a call makes, never its results.  Rows fetched
+# ahead are kept as every fetched row is: for the call, or in the
+# dictionary's Gram store (GRAM_BYTES) for the dictionary's lifetime.
 FETCH_AHEAD = 8
+
+# A dictionary whose whole Gram matrix, in the correlation dtype, takes at
+# most this many bytes keeps every Gram row OMP fetches for its lifetime
+# (`Dictionary.gram`), so later calls fetch only the rows no call has
+# fetched before.  twostep_rayleigh_1024's takes 8 MiB; sbidma_tuned's
+# would take 512 MiB, so its calls keep their rows for the call only.
+GRAM_BYTES = 1 << 24
 
 # A pass over a dictionary of at least this many bytes is split into one
 # contiguous column block per CPU, the blocks multiplied concurrently in
@@ -106,8 +115,13 @@ def omp_detect_many(
     signal, the rows of its `FETCH_AHEAD` largest correlations that have
     none yet, its likeliest next picks.  A pass costs little more per row
     when it is wide, so a call makes a few wide passes instead of one
-    narrow pass per iteration.  The rows live for the call only.  Over a
-    dictionary of at least `SPLIT_BYTES` (`sbidma_tuned`'s, not
+    narrow pass per iteration.  If the dictionary's whole Gram matrix fits
+    in `GRAM_BYTES` (`twostep_rayleigh_1024`'s does), the rows go into the
+    dictionary's Gram store (`Dictionary.gram`) and serve every later call
+    on it, and a signal reads its G_S from the store (so calls on one such
+    dictionary must not run in several threads at once).  Otherwise they
+    live for the call only, and each signal copies the rows of its picks.
+    Over a dictionary of at least `SPLIT_BYTES` (`sbidma_tuned`'s, not
     `twostep_rayleigh_1024`'s), both kinds of pass are split into one
     column block per CPU, the blocks multiplied concurrently (`_pass`),
     because umacsim runs BLAS on one thread.
@@ -123,6 +137,10 @@ def omp_detect_many(
     dictionary's dtype, the batch or the rows fetched ahead (mixed
     precision in the sense of Higham & Mary, Acta Numerica 2022).  Least
     squares and residuals are complex128 throughout.
+
+    Raises DetectionError for a signal with a non-finite sample, a
+    non-finite threshold, or a list of `max_iters` or thresholds whose
+    length is not the number of signals.
     """
     d = _dictionary(dictionary)
     a = d.columns
@@ -134,8 +152,12 @@ def omp_detect_many(
     if ys.shape[0] != a.shape[0]:
         raise DetectionError(f"signal length {ys.shape[0]} != column length {a.shape[0]}")
     n, count = ys.shape
-    iters = np.broadcast_to(max_iters, (count,))
-    thresholds = np.broadcast_to(residual_threshold, (count,))
+    if not np.isfinite(ys).all():
+        raise DetectionError("signals must be finite")
+    iters = _per_signal("max_iters", max_iters, count)
+    thresholds = _per_signal("residual_threshold", residual_threshold, count)
+    if not np.isfinite(thresholds).all():
+        raise DetectionError(f"residual_threshold must be finite, got {residual_threshold}")
     states = [
         _CholeskyOmp(ys[:, b], a, int(iters[b]), float(thresholds[b])) for b in range(count)
     ]
@@ -148,23 +170,37 @@ def omp_detect_many(
     # |conj(r)^T a_j| == |a_j^H r| without a conjugated dictionary copy.
     for state, beta0 in zip(running, _pass(conj_ys, a)):
         state.beta0 = beta0
-    gram: dict[int, np.ndarray] = {}                  # atom j -> conj(a_j)^T A
+    # Row j of `gram` is conj(a_j)^T A once known[j] is set.
+    size = a.shape[1]
+    if size * size * np.dtype(work).itemsize <= GRAM_BYTES:
+        gram, known = d.gram
+    else:
+        gram, known = {}, np.zeros(size, dtype=bool)
     while running:
         waiting = []
         for state in running:
             while state.running:
-                if state.selected and state.selected[-1] not in gram:
+                if state.selected and not known[state.selected[-1]]:
                     waiting.append(state)
                     break
                 delta = bound(len(state.selected), state.y_norm, float(np.abs(state.coef).sum()))
                 state.step(state.correlations(gram), delta)
         if waiting:
             # One pass for the rows every waiting signal wants, without repeats.
-            want = dict.fromkeys(j for s in waiting for j in s.wanted(gram))
-            for j, row in zip(want, _pass(a[:, list(want)].conj().T, a)):
+            want = list(dict.fromkeys(j for s in waiting for j in s.wanted(known)))
+            for j, row in zip(want, _pass(a[:, want].conj().T, a)):
                 gram[j] = row
+            known[want] = True
         running = waiting
     return [s.result() for s in states]
+
+
+def _per_signal(name: str, value, count: int) -> np.ndarray:
+    """`value`, a scalar or one value per signal, as `count` values."""
+    values = np.asarray(value)
+    if values.ndim > 1 or (values.ndim == 1 and len(values) != count):
+        raise DetectionError(f"{name} needs one value or {count}, got shape {values.shape}")
+    return np.broadcast_to(values, (count,))
 
 
 def _pass(rows: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -269,35 +305,41 @@ class _CholeskyOmp:
         self.y_norm = np.sqrt(e_y)
         self.running = self.max_iters > 0 and e_y > self.stop_energy
         self.beta0: np.ndarray | None = None        # conj(y)^T A, set by omp_detect_many
-        # G_S: the selected atoms' Gram rows in selection order, grown in
-        # beta0's dtype by `correlations`.
+        # G_S: the selected atoms' Gram rows in selection order, copied from
+        # a per-call map of rows and grown in beta0's dtype by `correlations`.
         self.gram_rows = np.empty((0, a.shape[1]))
         self.corr: np.ndarray | None = None         # the latest correlations, for `wanted`
 
-    def correlations(self, gram: dict[int, np.ndarray]) -> np.ndarray:
+    def correlations(self, gram: np.ndarray | dict[int, np.ndarray]) -> np.ndarray:
         """|conj(r)^T A| = |beta0 - conj(coef) G_S| in the dictionary's
-        precision.  Called before each step: G_S gains the row of the latest
-        pick from `gram`, in a buffer that grows FETCH_AHEAD rows at a time,
-        so a step copies one row, not k."""
+        precision, with the Gram rows of every pick in `gram`.  Called before
+        each step.  From a dictionary's Gram store (an array), G_S is read
+        as `gram[selected]`.  From a per-call map, G_S gains the row of the
+        latest pick in this signal's own buffer, which grows FETCH_AHEAD rows
+        at a time, so a step copies one row, not k."""
         k = len(self.selected)
         beta = self.beta0
         if k:
-            if k > len(self.gram_rows):
-                grown = np.empty((min(k + FETCH_AHEAD, self.max_iters), beta.size), beta.dtype)
-                grown[: k - 1] = self.gram_rows[: k - 1]
-                self.gram_rows = grown
-            self.gram_rows[k - 1] = gram[self.selected[-1]]
-            beta = beta - self.coef.conj().astype(beta.dtype) @ self.gram_rows[:k]
+            if isinstance(gram, np.ndarray):
+                rows = gram[self.selected]
+            else:
+                if k > len(self.gram_rows):
+                    grown = np.empty((min(k + FETCH_AHEAD, self.max_iters), beta.size), beta.dtype)
+                    grown[: k - 1] = self.gram_rows[: k - 1]
+                    self.gram_rows = grown
+                self.gram_rows[k - 1] = gram[self.selected[-1]]
+                rows = self.gram_rows[:k]
+            beta = beta - self.coef.conj().astype(beta.dtype) @ rows
         self.corr = np.abs(beta)
         return self.corr
 
-    def wanted(self, gram: dict[int, np.ndarray]) -> list[int]:
+    def wanted(self, known: np.ndarray) -> list[int]:
         """The latest pick, whose Gram row is missing, then the atoms of the
         `FETCH_AHEAD` largest latest correlations that are neither selected
-        nor in `gram`."""
+        nor `known` to have a Gram row."""
         corr = self.corr
         corr[self.selected] = -np.inf
-        corr[list(gram)] = -np.inf
+        corr[known] = -np.inf
         width = min(FETCH_AHEAD, len(corr))
         ahead = np.argpartition(corr, len(corr) - width)[len(corr) - width :]
         return [self.selected[-1], *ahead[corr[ahead] > -np.inf].tolist()]

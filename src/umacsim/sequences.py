@@ -36,7 +36,8 @@ class Dictionary:
 
     `columns` has shape (length, size); column j is `columns[:, j]`.  Its
     dtype may be complex64: upcast a column (`astype(complex)`) before
-    arithmetic that must stay in double precision.
+    arithmetic that must stay in double precision.  `max_column_norm` and
+    the Gram store `gram` are derived from the columns and kept with them.
     """
 
     columns: np.ndarray
@@ -56,6 +57,17 @@ class Dictionary:
             block = self.columns[:, c0 : c0 + _NORM_BLOCK].astype(complex)
             best = max(best, float(np.linalg.norm(block, axis=0).max()))
         return best
+
+    @cached_property
+    def gram(self) -> tuple[np.ndarray, np.ndarray]:
+        """A store for the Gram rows conj(a_j)^T A, kept as long as the
+        dictionary: an uninitialised (size, size) array in the correlation
+        dtype (complex64 or complex128) and the mask of the rows written.
+        `detection.omp_detect_many` fills the rows it fetches, if the whole
+        array fits in `detection.GRAM_BYTES`; a row is never read unwritten."""
+        size = self.columns.shape[1]
+        dtype = np.result_type(self.columns.dtype, np.complex64)
+        return np.empty((size, size), dtype), np.zeros(size, dtype=bool)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import math
 import multiprocessing
 import os
@@ -9,10 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from umacsim import detection
+from umacsim import detection, protocols
 from umacsim.channel import complex_noise, energy
+from umacsim.cli import build_experiment, load_preset
 from umacsim.detection import (
     FETCH_AHEAD,
+    GRAM_BYTES,
     SPLIT_BYTES,
     DetectionError,
     energy_detect,
@@ -21,7 +24,8 @@ from umacsim.detection import (
     omp_detect_many,
     subtract,
 )
-from umacsim.sequences import PreambleSpec, build_preamble_dictionary
+from umacsim.montecarlo import estimate_pupe
+from umacsim.sequences import Dictionary, PreambleSpec, build_preamble_dictionary
 
 
 def gaussian_dict(rows, cols, seed):
@@ -274,6 +278,35 @@ class TestOmpMany:
         with pytest.raises(DetectionError):
             omp_detect(np.zeros((6, 1), complex), a, max_iters=1)
 
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_threshold_rejected(self, threshold):
+        """A NaN threshold used to stop OMP before its first pick."""
+        a = gaussian_dict(20, 40, 0)
+        with pytest.raises(DetectionError, match="residual_threshold"):
+            omp_detect(a[:, 3], a, 5, residual_threshold=threshold)
+        with pytest.raises(DetectionError, match="residual_threshold"):
+            omp_detect_many(a[:, :2], a, 5, residual_threshold=[0.1, threshold])
+
+    @pytest.mark.parametrize("sample", [complex("nan"), complex("inf"), complex(0, -math.inf)])
+    def test_non_finite_signal_rejected(self, sample):
+        a = gaussian_dict(20, 40, 0)
+        ys = a[:, :3].copy()
+        ys[7, 1] = sample
+        with pytest.raises(DetectionError, match="finite"):
+            omp_detect_many(ys, a, 5)
+        with pytest.raises(DetectionError, match="finite"):
+            omp_detect(ys[:, 1], a, 5)
+
+    @pytest.mark.parametrize("shape", [(2,), (4,), (1, 3)])
+    def test_per_signal_values_match_signal_count(self, shape):
+        """Three signals take one value or three, not numpy's broadcast."""
+        a = gaussian_dict(20, 40, 0)
+        ys = a[:, :3]
+        with pytest.raises(DetectionError, match="max_iters"):
+            omp_detect_many(ys, a, max_iters=np.full(shape, 4))
+        with pytest.raises(DetectionError, match="residual_threshold"):
+            omp_detect_many(ys, a, 4, residual_threshold=np.full(shape, 0.1))
+
 
 @st.composite
 def near_tie_problems(draw):
@@ -352,6 +385,16 @@ def wide_problems(draw):
     return a, ys, max_iters, stops
 
 
+def matches_complex128_omp(many, ys, a, max_iters, stops):
+    """Each signal's result is what a complex128 OMP on it alone gives."""
+    wide = a.astype(complex)
+    for b, res in enumerate(many):
+        ref = omp_detect(ys[:, b], wide, max_iters[b], stops[b])
+        assert res.indices == ref.indices
+        np.testing.assert_allclose(res.coefficients, ref.coefficients, rtol=0, atol=1e-10)
+        assert abs(res.residual_energy - ref.residual_energy) <= 1e-10
+
+
 class TestGramRows:
     @omp_settings
     @given(wide_problems())
@@ -360,12 +403,111 @@ class TestGramRows:
         what a complex128 OMP on one signal at a time picks."""
         a, ys, max_iters, stops = problem
         many = omp_detect_many(ys, a, max_iters=max_iters, residual_threshold=stops)
-        wide = a.astype(complex)
-        for b, res in enumerate(many):
-            ref = omp_detect(ys[:, b], wide, max_iters[b], stops[b])
-            assert res.indices == ref.indices
-            np.testing.assert_allclose(res.coefficients, ref.coefficients, rtol=0, atol=1e-10)
-            assert abs(res.residual_energy - ref.residual_energy) <= 1e-10
+        matches_complex128_omp(many, ys, a, max_iters, stops)
+
+
+def wide_problem():
+    """A complex64 Gaussian dictionary of 400 columns, 20 times FETCH_AHEAD,
+    and six signals of 8 atoms each plus noise."""
+    rng = np.random.default_rng(13)
+    a = gaussian_dict(40, 400, rng).astype(np.complex64, order="F")
+    ys = np.empty((40, 6), dtype=complex)
+    for b in range(ys.shape[1]):
+        support = rng.choice(a.shape[1], 8, replace=False)
+        coefs = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        ys[:, b] = a[:, support].astype(complex) @ coefs + 0.05 * complex_noise(40, 1.0, rng)
+    return a, ys
+
+
+class TestGramStore:
+    @omp_settings
+    @given(wide_problems())
+    def test_calls_on_a_partly_filled_store(self, problem):
+        """A second call on the same dictionary, with other signals, starts
+        from the rows the first call left in the store and still picks what
+        a complex128 OMP on one signal at a time picks."""
+        a, ys, max_iters, stops = problem
+        # Signal 0 makes at least two picks, so the first call fetches rows.
+        max_iters[0], stops[0] = max(2, max_iters[0]), 0.0
+        d = Dictionary(columns=a)
+        half = ys.shape[1] // 2
+        first = omp_detect_many(ys[:, :half], d, max_iters[:half], stops[:half])
+        known = d.gram[1].copy()
+        assert known.any()
+        second = omp_detect_many(ys[:, half:], d, max_iters[half:], stops[half:])
+        assert (d.gram[1] >= known).all()
+        matches_complex128_omp(first, ys[:, :half], a, max_iters[:half], stops[:half])
+        matches_complex128_omp(second, ys[:, half:], a, max_iters[half:], stops[half:])
+
+    def test_warm_dictionary_makes_one_pass(self, monkeypatch):
+        """Every row a call fetches, ahead or not, stays in the store, and
+        the same call again makes only the beta0 pass, with the same bytes."""
+        a, ys = wide_problem()
+        d = Dictionary(columns=a)
+        passes = []
+        whole = detection._pass
+
+        def counted(rows, a):
+            passes.append(rows.shape[0])
+            return whole(rows, a)
+
+        monkeypatch.setattr(detection, "_pass", counted)
+        cold = detect_bytes(ys, d, 12)
+        assert len(passes) > 1
+        assert d.gram[1].sum() == sum(passes[1:])
+        passes.clear()
+        assert detect_bytes(ys, d, 12) == cold
+        assert passes == [ys.shape[1]]
+
+    def test_dictionary_over_the_limit_keeps_rows_per_call(self, monkeypatch):
+        """A complex64 dictionary one column wider than the widest whose Gram
+        fits in `GRAM_BYTES` builds no store, and gives the bytes it gives
+        with one."""
+        size = math.isqrt(GRAM_BYTES // 8) + 1
+        rng = np.random.default_rng(14)
+        a = gaussian_dict(48, size, rng).astype(np.complex64, order="F")
+        ys = a[:, rng.choice(size, (5, 3))].astype(complex).sum(axis=2)
+        ys += 0.05 * complex_noise(ys.shape, 1.0, rng)
+        d = Dictionary(columns=a)
+        per_call = detect_bytes(ys, d, 10)
+        assert "gram" not in vars(d)
+        monkeypatch.setattr(detection, "GRAM_BYTES", size * size * 8)
+        assert detect_bytes(ys, d, 10) == per_call
+        assert d.gram[1].any()
+
+    def test_rayleigh_1024_probe_with_and_without_store(self, monkeypatch):
+        """A 10-trial twostep_rayleigh_1024 probe gives the same counts and
+        the same bytes of every OMP result with per-call rows, on a cold
+        store and on the warm store the cold run left."""
+        experiment = build_experiment(load_preset("twostep_rayleigh_1024"))
+        pre, _ = protocols.build_dictionaries(experiment.config)
+        assert pre.columns.shape[1] ** 2 * 8 <= GRAM_BYTES
+        detect = protocols.omp_detect_many
+
+        def probe():
+            digest = hashlib.sha256()
+
+            def recorded(*args, **kwargs):
+                results = detect(*args, **kwargs)
+                for r in results:
+                    digest.update(np.asarray(r.indices, dtype=np.int64).tobytes())
+                    digest.update(r.coefficients.tobytes())
+                    digest.update(np.float64(r.residual_energy).tobytes())
+                return results
+
+            with monkeypatch.context() as m:
+                m.setattr(protocols, "omp_detect_many", recorded)
+                est = estimate_pupe(experiment, 30, 10.0, 10, 7)
+            return [est.trials, est.total, est.failures, est.clashes], digest.hexdigest()
+
+        with monkeypatch.context() as m:
+            m.setattr(detection, "GRAM_BYTES", 0)
+            per_call = probe()
+        vars(pre).pop("gram", None)           # a cold store
+        assert probe() == per_call
+        assert pre.gram[1].any()
+        assert probe() == per_call
+        assert per_call[0] == [10, 300, 36, 0]
 
 
 def split_problem():
