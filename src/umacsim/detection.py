@@ -27,15 +27,14 @@ LS_PIVOT_TOL = 1e-12
 # (64, 1778) x (1778, 8192) complex64 product takes 0.78-0.93 ms per row,
 # a one-row product 6.6-7.3 ms), so fetching ahead saves passes.  It
 # changes how many passes a call makes, never its results.  Rows fetched
-# ahead are kept as every fetched row is: for the call, or in the
-# dictionary's Gram store (GRAM_BYTES) for the dictionary's lifetime.
+# ahead go into the Gram store as every fetched row does.
 FETCH_AHEAD = 8
 
 # A dictionary whose whole Gram matrix, in the correlation dtype, takes at
-# most this many bytes keeps every Gram row OMP fetches for its lifetime
-# (`Dictionary.gram`), so later calls fetch only the rows no call has
-# fetched before.  twostep_rayleigh_1024's takes 8 MiB; sbidma_tuned's
-# would take 512 MiB, so its calls keep their rows for the call only.
+# most this many bytes keeps its Gram store (`Dictionary.gram`) for its
+# lifetime, so later calls fetch only the rows no call has fetched before.
+# twostep_rayleigh_1024's takes 8 MiB; sbidma_tuned's would take 512 MiB,
+# so each of its calls fills a fresh store, dropped with the call.
 GRAM_BYTES = 1 << 24
 
 # A pass over a dictionary of at least this many bytes is split into one
@@ -115,13 +114,14 @@ def omp_detect_many(
     signal, the rows of its `FETCH_AHEAD` largest correlations that have
     none yet, its likeliest next picks.  A pass costs little more per row
     when it is wide, so a call makes a few wide passes instead of one
-    narrow pass per iteration.  If the dictionary's whole Gram matrix fits
-    in `GRAM_BYTES` (`twostep_rayleigh_1024`'s does), the rows go into the
-    dictionary's Gram store (`Dictionary.gram`) and serve every later call
-    on it, and a signal reads its G_S from the store (so calls on one such
-    dictionary must not run in several threads at once).  Otherwise they
-    live for the call only, and each signal copies the rows of its picks.
-    Over a dictionary of at least `SPLIT_BYTES` (`sbidma_tuned`'s, not
+    narrow pass per iteration.  The rows go into a Gram store
+    (`Dictionary.gram`) in the order they are fetched, and a signal reads
+    its G_S from the store.  If the dictionary's whole Gram matrix fits in
+    `GRAM_BYTES` (`twostep_rayleigh_1024`'s does), the store is the
+    dictionary's own and serves every later call on it (so calls on one
+    such dictionary must not run in several threads at once).  Otherwise
+    the call fills a fresh store and drops it on return.  Over a dictionary
+    of at least `SPLIT_BYTES` (`sbidma_tuned`'s, not
     `twostep_rayleigh_1024`'s), both kinds of pass are split into one
     column block per CPU, the blocks multiplied concurrently (`_pass`),
     because umacsim runs BLAS on one thread.
@@ -138,9 +138,9 @@ def omp_detect_many(
     precision in the sense of Higham & Mary, Acta Numerica 2022).  Least
     squares and residuals are complex128 throughout.
 
-    Raises DetectionError for a signal with a non-finite sample, a
-    non-finite threshold, or a list of `max_iters` or thresholds whose
-    length is not the number of signals.
+    Raises DetectionError for a signal or dictionary with a non-finite
+    entry, a non-finite threshold, or a list of `max_iters` or thresholds
+    whose length is not the number of signals.
     """
     d = _dictionary(dictionary)
     a = d.columns
@@ -154,6 +154,8 @@ def omp_detect_many(
     n, count = ys.shape
     if not np.isfinite(ys).all():
         raise DetectionError("signals must be finite")
+    if not np.isfinite(d.max_column_norm):
+        raise DetectionError("dictionary must be finite")
     iters = _per_signal("max_iters", max_iters, count)
     thresholds = _per_signal("residual_threshold", residual_threshold, count)
     if not np.isfinite(thresholds).all():
@@ -168,29 +170,30 @@ def omp_detect_many(
     for row, state in zip(conj_ys, running):
         np.conjugate(state.y, out=row)
     # |conj(r)^T a_j| == |a_j^H r| without a conjugated dictionary copy.
-    for state, beta0 in zip(running, _pass(conj_ys, a)):
-        state.beta0 = beta0
-    # Row j of `gram` is conj(a_j)^T A once known[j] is set.
     size = a.shape[1]
+    for state, beta0 in zip(running, _pass(conj_ys, a, np.empty((len(running), size), work))):
+        state.beta0 = beta0
+    # Row slot[j] of `gram` is conj(a_j)^T A once slot[j] >= 0.
     if size * size * np.dtype(work).itemsize <= GRAM_BYTES:
-        gram, known = d.gram
+        gram, slot = d.gram
     else:
-        gram, known = {}, np.zeros(size, dtype=bool)
+        gram, slot = Dictionary(columns=a).gram     # a fresh store, for this call
     while running:
         waiting = []
         for state in running:
             while state.running:
-                if state.selected and not known[state.selected[-1]]:
+                if state.selected and slot[state.selected[-1]] < 0:
                     waiting.append(state)
                     break
                 delta = bound(len(state.selected), state.y_norm, float(np.abs(state.coef).sum()))
-                state.step(state.correlations(gram), delta)
+                state.step(state.correlations(gram, slot), delta)
         if waiting:
-            # One pass for the rows every waiting signal wants, without repeats.
-            want = list(dict.fromkeys(j for s in waiting for j in s.wanted(known)))
-            for j, row in zip(want, _pass(a[:, want].conj().T, a)):
-                gram[j] = row
-            known[want] = True
+            # One pass for the rows every waiting signal wants, without
+            # repeats, written into the store's next free rows.
+            want = list(dict.fromkeys(j for s in waiting for j in s.wanted(slot)))
+            first = int(slot.max()) + 1
+            _pass(a[:, want].conj().T, a, gram[first : first + len(want)])
+            slot[want] = np.arange(first, first + len(want))
         running = waiting
     return [s.result() for s in states]
 
@@ -203,23 +206,22 @@ def _per_signal(name: str, value, count: int) -> np.ndarray:
     return np.broadcast_to(values, (count,))
 
 
-def _pass(rows: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """rows @ a, over a dictionary of at least `SPLIT_BYTES` split into one
-    contiguous column block of `a` per CPU this process may run on.  The
+def _pass(rows: np.ndarray, a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """rows @ a written into `out`, over a dictionary of at least `SPLIT_BYTES` split into
+    one contiguous column block of `a` per CPU this process may run on.  The
     blocks are multiplied at once, the first in the calling thread and each
-    other one in a thread of its own, straight into their columns of one
-    row-major output (BLAS writes them with the output's row stride), so
-    the rows the caller keeps stay contiguous and no block is copied.  The
-    pool lives for the call, so no thread outlives it into a forked worker.
-    A split pass need not round as a whole one does; its results only feed
-    `_CholeskyOmp._pick`, which is exact for any summation order."""
+    other one in a thread of its own, straight into their columns of `out`,
+    a row-major array (BLAS writes them with its row stride), so no block is
+    copied.  The pool lives for the call, so no thread outlives it into a
+    forked worker.  A split pass need not round as a whole one does; its
+    results only feed `_CholeskyOmp._pick`, which is exact for any
+    summation order."""
     workers = (
         len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     )
     if a.nbytes < SPLIT_BYTES or workers < 2:
-        return rows @ a
+        return np.matmul(rows, a, out=out)
     size = a.shape[1]
-    out = np.empty((rows.shape[0], size), np.result_type(rows, a))
     edges = [size * i // workers for i in range(workers + 1)]
     blocks = [slice(c0, c1) for c0, c1 in zip(edges, edges[1:])]
     # One thread, and one BLAS work buffer, fewer than a block per thread.
@@ -305,41 +307,25 @@ class _CholeskyOmp:
         self.y_norm = np.sqrt(e_y)
         self.running = self.max_iters > 0 and e_y > self.stop_energy
         self.beta0: np.ndarray | None = None        # conj(y)^T A, set by omp_detect_many
-        # G_S: the selected atoms' Gram rows in selection order, copied from
-        # a per-call map of rows and grown in beta0's dtype by `correlations`.
-        self.gram_rows = np.empty((0, a.shape[1]))
         self.corr: np.ndarray | None = None         # the latest correlations, for `wanted`
 
-    def correlations(self, gram: np.ndarray | dict[int, np.ndarray]) -> np.ndarray:
+    def correlations(self, gram: np.ndarray, slot: np.ndarray) -> np.ndarray:
         """|conj(r)^T A| = |beta0 - conj(coef) G_S| in the dictionary's
-        precision, with the Gram rows of every pick in `gram`.  Called before
-        each step.  From a dictionary's Gram store (an array), G_S is read
-        as `gram[selected]`.  From a per-call map, G_S gains the row of the
-        latest pick in this signal's own buffer, which grows FETCH_AHEAD rows
-        at a time, so a step copies one row, not k."""
-        k = len(self.selected)
+        precision, with G_S = gram[slot[selected]] read from the Gram store.
+        Called before each step."""
         beta = self.beta0
-        if k:
-            if isinstance(gram, np.ndarray):
-                rows = gram[self.selected]
-            else:
-                if k > len(self.gram_rows):
-                    grown = np.empty((min(k + FETCH_AHEAD, self.max_iters), beta.size), beta.dtype)
-                    grown[: k - 1] = self.gram_rows[: k - 1]
-                    self.gram_rows = grown
-                self.gram_rows[k - 1] = gram[self.selected[-1]]
-                rows = self.gram_rows[:k]
-            beta = beta - self.coef.conj().astype(beta.dtype) @ rows
+        if self.selected:
+            beta = beta - self.coef.conj().astype(beta.dtype) @ gram[slot[self.selected]]
         self.corr = np.abs(beta)
         return self.corr
 
-    def wanted(self, known: np.ndarray) -> list[int]:
+    def wanted(self, slot: np.ndarray) -> list[int]:
         """The latest pick, whose Gram row is missing, then the atoms of the
         `FETCH_AHEAD` largest latest correlations that are neither selected
-        nor `known` to have a Gram row."""
+        nor in the store (`slot` >= 0)."""
         corr = self.corr
         corr[self.selected] = -np.inf
-        corr[known] = -np.inf
+        corr[slot >= 0] = -np.inf
         width = min(FETCH_AHEAD, len(corr))
         ahead = np.argpartition(corr, len(corr) - width)[len(corr) - width :]
         return [self.selected[-1], *ahead[corr[ahead] > -np.inf].tolist()]

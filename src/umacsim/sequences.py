@@ -51,23 +51,29 @@ class Dictionary:
     @cached_property
     def max_column_norm(self) -> float:
         """The largest column 2-norm, summed in double precision one block of
-        columns at a time, and computed once per dictionary."""
+        columns at a time, and computed once per dictionary: NaN or inf if
+        an entry is (np.maximum keeps a NaN, Python's max drops it)."""
         best = 0.0
         for c0 in range(0, self.columns.shape[1], _NORM_BLOCK):
             block = self.columns[:, c0 : c0 + _NORM_BLOCK].astype(complex)
-            best = max(best, float(np.linalg.norm(block, axis=0).max()))
-        return best
+            with np.errstate(invalid="ignore"):         # |inf|^2 meets inf * 0
+                best = np.maximum(best, np.linalg.norm(block, axis=0).max())
+        return float(best)
 
     @cached_property
     def gram(self) -> tuple[np.ndarray, np.ndarray]:
         """A store for the Gram rows conj(a_j)^T A, kept as long as the
         dictionary: an uninitialised (size, size) array in the correlation
-        dtype (complex64 or complex128) and the mask of the rows written.
-        `detection.omp_detect_many` fills the rows it fetches, if the whole
-        array fits in `detection.GRAM_BYTES`; a row is never read unwritten."""
+        dtype (complex64 or complex128), filled from row 0 in the order
+        `detection.omp_detect_many` fetches rows, and `slot`, with atom j's
+        row at slot[j] once slot[j] >= 0.  A call over a dictionary whose
+        array exceeds `detection.GRAM_BYTES` fills a fresh store instead.
+        Under Linux's heuristic overcommit (`vm.overcommit_memory` 0) only
+        the rows written are resident; rows at their atom index would each
+        commit a huge page, which numpy advises for large arrays."""
         size = self.columns.shape[1]
         dtype = np.result_type(self.columns.dtype, np.complex64)
-        return np.empty((size, size), dtype), np.zeros(size, dtype=bool)
+        return np.empty((size, size), dtype), np.full(size, -1)
 
 
 @dataclass(frozen=True)
