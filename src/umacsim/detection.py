@@ -118,10 +118,10 @@ def omp_detect_many(
     (`Dictionary.gram`) in the order they are fetched, and a signal reads
     its G_S from the store.  If the dictionary's whole Gram matrix fits in
     `GRAM_BYTES` (`twostep_rayleigh_1024`'s does), the store is the
-    dictionary's own and serves every later call on it (so calls on one
-    such dictionary must not run in several threads at once).  Otherwise
-    the call fills a fresh store and drops it on return.  Over a dictionary
-    of at least `SPLIT_BYTES` (`sbidma_tuned`'s, not
+    dictionary's own and serves every later call on it; calls in several
+    threads take turns, each holding the store's lock until it returns.
+    Otherwise the call fills a fresh store and drops it on return.  Over a
+    dictionary of at least `SPLIT_BYTES` (`sbidma_tuned`'s, not
     `twostep_rayleigh_1024`'s), both kinds of pass are split into one
     column block per CPU, the blocks multiplied concurrently (`_pass`),
     because umacsim runs BLAS on one thread.
@@ -173,28 +173,29 @@ def omp_detect_many(
     size = a.shape[1]
     for state, beta0 in zip(running, _pass(conj_ys, a, np.empty((len(running), size), work))):
         state.beta0 = beta0
-    # Row slot[j] of `gram` is conj(a_j)^T A once slot[j] >= 0.
-    if size * size * np.dtype(work).itemsize <= GRAM_BYTES:
-        gram, slot = d.gram
-    else:
-        gram, slot = Dictionary(columns=a).gram     # a fresh store, for this call
-    while running:
-        waiting = []
-        for state in running:
-            while state.running:
-                if state.selected and slot[state.selected[-1]] < 0:
-                    waiting.append(state)
-                    break
-                delta = bound(len(state.selected), state.y_norm, float(np.abs(state.coef).sum()))
-                state.step(state.correlations(gram, slot), delta)
-        if waiting:
-            # One pass for the rows every waiting signal wants, without
-            # repeats, written into the store's next free rows.
-            want = list(dict.fromkeys(j for s in waiting for j in s.wanted(slot)))
-            first = int(slot.max()) + 1
-            _pass(a[:, want].conj().T, a, gram[first : first + len(want)])
-            slot[want] = np.arange(first, first + len(want))
-        running = waiting
+    # Row slot[j] of `gram` is conj(a_j)^T A once slot[j] >= 0.  A fresh
+    # store, for this call only, unless the dictionary keeps its own.
+    fits = size * size * np.dtype(work).itemsize <= GRAM_BYTES
+    gram, slot, lock = (d if fits else Dictionary(columns=a)).gram
+    with lock:
+        while running:
+            waiting = []
+            for state in running:
+                while state.running:
+                    if state.selected and slot[state.selected[-1]] < 0:
+                        waiting.append(state)
+                        break
+                    coef_sum = float(np.abs(state.coef).sum())
+                    delta = bound(len(state.selected), state.y_norm, coef_sum)
+                    state.step(state.correlations(gram, slot), delta)
+            if waiting:
+                # One pass for the rows every waiting signal wants, without
+                # repeats, written into the store's next free rows.
+                want = list(dict.fromkeys(j for s in waiting for j in s.wanted(slot)))
+                first = int(slot.max()) + 1
+                _pass(a[:, want].conj().T, a, gram[first : first + len(want)])
+                slot[want] = np.arange(first, first + len(want))
+            running = waiting
     return [s.result() for s in states]
 
 

@@ -185,10 +185,10 @@ class UserTx:
     preamble_amplitude: float       # sqrt(power): scales the preamble column
     copy_signal: np.ndarray         # pilot + codeword placed in each occasion
     codeword_energy: float          # per copy
+    copy_energy: float = field(init=False)      # of copy_signal, read per SINR term
 
-    @property
-    def copy_energy(self) -> float:
-        return float(energy(self.copy_signal))
+    def __post_init__(self):
+        self.copy_energy = float(energy(self.copy_signal))
 
 
 @dataclass

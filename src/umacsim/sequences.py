@@ -13,6 +13,7 @@ complex64 dictionary, only chunk buffers of about _DRAW_BLOCK values.
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -61,19 +62,21 @@ class Dictionary:
         return float(best)
 
     @cached_property
-    def gram(self) -> tuple[np.ndarray, np.ndarray]:
+    def gram(self) -> tuple[np.ndarray, np.ndarray, threading.Lock]:
         """A store for the Gram rows conj(a_j)^T A, kept as long as the
         dictionary: an uninitialised (size, size) array in the correlation
         dtype (complex64 or complex128), filled from row 0 in the order
-        `detection.omp_detect_many` fetches rows, and `slot`, with atom j's
-        row at slot[j] once slot[j] >= 0.  A call over a dictionary whose
-        array exceeds `detection.GRAM_BYTES` fills a fresh store instead.
+        `detection.omp_detect_many` fetches rows, `slot`, with atom j's row
+        at slot[j] once slot[j] >= 0, and the lock a call holds while it
+        reads or fills the store, so calls in several threads take turns.
+        A call over a dictionary whose array exceeds `detection.GRAM_BYTES`
+        fills a fresh store instead.
         Under Linux's heuristic overcommit (`vm.overcommit_memory` 0) only
         the rows written are resident; rows at their atom index would each
         commit a huge page, which numpy advises for large arrays."""
         size = self.columns.shape[1]
         dtype = np.result_type(self.columns.dtype, np.complex64)
-        return np.empty((size, size), dtype), np.full(size, -1)
+        return np.empty((size, size), dtype), np.full(size, -1), threading.Lock()
 
 
 @dataclass(frozen=True)

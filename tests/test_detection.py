@@ -4,6 +4,7 @@ import math
 import multiprocessing
 import os
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -530,6 +531,34 @@ class TestGramStore:
         assert (pre.gram[1] >= 0).any()
         assert probe() == per_call
         assert per_call[0] == [10, 300, 36, 0]
+
+    def test_concurrent_calls_on_one_store(self):
+        """Two threads detecting on one fresh dictionary at once, switching
+        threads every microsecond, each get what a serial call on a
+        dictionary of its own gives: the calls take turns at the store."""
+        rng = np.random.default_rng(15)
+        a = gaussian_dict(64, 600, rng).astype(np.complex64, order="F")
+        signals = [
+            a[:, rng.choice(600, (8, 12))].astype(complex).sum(axis=2)
+            + 0.05 * complex_noise((64, 8), 1.0, rng)
+            for _ in range(2)
+        ]
+        serial = [detect_bytes(ys, Dictionary(columns=a), 20) for ys in signals]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(2) as pool:
+                for _ in range(30):
+                    d = Dictionary(columns=a)
+                    start = threading.Barrier(2)
+
+                    def detect(ys):
+                        start.wait()
+                        return detect_bytes(ys, d, 20)
+
+                    assert list(pool.map(detect, signals, timeout=60)) == serial
+        finally:
+            sys.setswitchinterval(interval)
 
 
 def split_problem():

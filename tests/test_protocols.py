@@ -205,6 +205,14 @@ class TestEncode:
         u_full = encode_user(full, 3, np.random.default_rng(2), preamble_index=10)
         assert u_split.copy_energy == pytest.approx(u_full.copy_energy / 2, rel=1e-12)
 
+    def test_copy_energy_is_the_energy_of_the_copy(self):
+        """The energy kept at encoding is exactly that of the copy signal,
+        with a pilot before the codeword and without one."""
+        for cfg in (fading_cfg(), awgn_cfg()):
+            user = encode_user(cfg, 5, np.random.default_rng(3))
+            assert len(user.copy_signal) == cfg.occasion_len
+            assert user.copy_energy == energy(user.copy_signal)
+
     def test_power_constraint_all_protocols(self):
         configs = [awgn_cfg(), fading_cfg()]
         configs.append(TwoStepConfig(
