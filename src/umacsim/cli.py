@@ -25,6 +25,7 @@ from . import __version__
 from .channel import ChannelModel
 from .bounds import CurveError, load_reference_curve
 from .codec import CodecModel, CodecSpec, SlottedAlohaConfig
+from .detection import DetectionError
 from .montecarlo import (
     MonteCarloError,
     PupeCurvePoint,
@@ -455,7 +456,7 @@ def main(argv=None) -> int:
             trials_scale=args.trials_scale,
             strict=args.strict,
         )
-    except (ConfigError, MonteCarloError, OSError) as exc:
+    except (ConfigError, DetectionError, MonteCarloError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -86,6 +86,10 @@ class SlottedAlohaConfig:
     def frame_len(self) -> int:
         return self.slots * self.slot_len
 
+    def slot(self, frame: np.ndarray, index: int) -> np.ndarray:
+        """The view of `frame` that slot `index` occupies."""
+        return frame[index * self.slot_len : (index + 1) * self.slot_len]
+
 
 def _check_message(spec: CodecSpec, message: int) -> None:
     if not 0 <= message < spec.n_messages:

@@ -1,6 +1,6 @@
 """Sparse preamble detection (OMP, its least squares on an inverse Cholesky
-factor), energy detection, LS channel estimation, and the windowed
-subtraction primitive used by interference cancellation.
+factor), energy detection, LS channel estimation, and `subtract`, a copying
+windowed subtraction that no receiver calls: they cancel in place.
 """
 from __future__ import annotations
 
@@ -139,8 +139,9 @@ def omp_detect_many(
     squares and residuals are complex128 throughout.
 
     Raises DetectionError for a signal or dictionary with a non-finite
-    entry, a non-finite threshold, or a list of `max_iters` or thresholds
-    whose length is not the number of signals.
+    entry, a non-finite threshold, a list of `max_iters` or thresholds
+    whose length is not the number of signals, or a pick whose largest
+    correlation overflows the dictionary's precision (is not finite).
     """
     d = _dictionary(dictionary)
     a = d.columns
@@ -337,6 +338,8 @@ class _CholeskyOmp:
         (overwritten), each within `bound` of its complex128 value."""
         corr[self.selected] = -np.inf
         top = float(corr.max())
+        if not np.isfinite(top):
+            raise DetectionError(f"correlations overflow the dictionary's {self.a.dtype}")
         # Any column below this cannot have the largest complex128 value.
         # np.float64 keeps the comparison in double precision.
         band = np.flatnonzero(corr >= np.float64(top - 2.0 * bound))

@@ -92,6 +92,14 @@ def wilson_interval(failures: int, total: int) -> tuple[float, float]:
     return max(0.0, min(p, center - half)), min(1.0, max(p, center + half))
 
 
+def _snr_power(snr_db: float) -> float:
+    """Transmit power per sample over unit-power noise at `snr_db` dB."""
+    try:
+        return 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        raise MonteCarloError(f"an SNR of {snr_db:g} dB overflows a float") from None
+
+
 def draw_message(rng: np.random.Generator, bits: int) -> int:
     """Uniform integer in [0, 2^bits), valid beyond 64-bit payloads."""
     value = 0
@@ -123,7 +131,7 @@ class TwoStepExperiment:
         (`twostep_receive_many`), which gives each the outcome it would get
         alone."""
         cfg = self.config
-        power = 10.0 ** (snr_db / 10.0)
+        power = _snr_power(snr_db)
         fading = cfg.channel_model is ChannelModel.RAYLEIGH
         records = []
         for rng in rngs:
@@ -162,16 +170,14 @@ class SlottedAlohaExperiment:
 
     def run_trial(self, ka: int, snr_db: float, rng: np.random.Generator) -> tuple[int, int]:
         cfg = self.config
-        power = 10.0 ** (snr_db / 10.0)
+        power = _snr_power(snr_db)
         placements = []
         for _ in range(ka):
             msg = draw_message(rng, cfg.codec.payload_bits)
             placements.append((msg, int(rng.integers(0, cfg.slots))))
         y = complex_noise(cfg.frame_len, 1.0, rng)
         for msg, slot in placements:
-            y[slot * cfg.slot_len : (slot + 1) * cfg.slot_len] += encode(
-                cfg.codec, msg, power=power
-            )
+            cfg.slot(y, slot)[...] += encode(cfg.codec, msg, power=power)
         outcome = slotted_aloha_receive(y, cfg, self.receiver, placements, power)
         return _score([m for m, _ in placements], outcome.decoded_messages)
 
@@ -224,15 +230,16 @@ def estimate_pupe(
     """Monte-Carlo PUPE: per trial, ka users draw i.i.d. uniform messages and
     the contribution is the count of messages absent from the decoded set.
     A clashed message counts as decoded for every user that drew it.  The
-    trials run in `TRIAL_BATCH` batches, here or over worker processes."""
+    trials run in `TRIAL_BATCH` batches, here or over at most a worker per batch."""
     if trials < 1:
         raise MonteCarloError(f"trials must be >= 1, got {trials}")
     if ka < 1:
         raise MonteCarloError(f"ka must be >= 1, got {ka}")
-    workers = _worker_count()
     batches = [range(s, min(s + TRIAL_BATCH, trials)) for s in range(0, trials, TRIAL_BATCH)]
+    # A fork pool starts all its workers at once, so it gets one per batch at most.
+    workers = min(_worker_count(), len(batches))
     run_batch = functools.partial(_run_batch, experiment, ka, snr_db, seed, probe)
-    if workers == 1 or trials < 4 * workers:
+    if workers == 1:
         counts = list(map(run_batch, batches))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -276,6 +283,7 @@ def min_snr_for_pupe(
     """
     if not (math.isfinite(snr_lo) and math.isfinite(snr_hi)):
         raise MonteCarloError(f"snr_lo and snr_hi must be finite, got {snr_lo}, {snr_hi}")
+    _snr_power(snr_hi)          # no probe's power overflows after this
     if snr_lo >= snr_hi:
         raise MonteCarloError(f"need snr_lo < snr_hi, got {snr_lo} >= {snr_hi}")
     if not trials_schedule:

@@ -40,7 +40,7 @@ from .detection import (
     ls_channel_estimate,
     omp_detect,  # noqa: F401  perfbench/spans.py wraps it under this name
     omp_detect_many,
-    subtract,
+    subtract,  # noqa: F401  perfbench/spans.py wraps it under this name
 )
 from .sequences import (
     Dictionary,
@@ -462,58 +462,46 @@ def slotted_aloha_receive(
     With the oracle codec, slots holding a single (uncancelled) user decode
     iff the genie SINR clears the codec threshold; collided slots fail under
     TIN, since equal-strategy users superposed in one slot are not
-    separable.  The SIC variant cancels decoded codewords and retries.
+    separable.  The SIC variant cancels decoded codewords from its own copy
+    of `y`, in place, and retries until a round decodes nobody new.
     """
-    slot_len = cfg.slot_len
-    occupants: dict[int, list[tuple[int, int]]] = {}
+    pending: dict[int, list[int]] = {}      # slot -> messages not yet cancelled
     for msg, slot in genie:
-        occupants.setdefault(slot, []).append((msg, slot))
-
+        pending.setdefault(slot, []).append(msg)
+    oracle = cfg.codec.model is CodecModel.ORACLE_THRESHOLD
+    # The oracle codec can only ever output occupants' messages, so empty
+    # slots are skipped; the ML codec scans every slot (a false energy
+    # alarm then yields a spurious decode, which PUPE ignores).
+    slots = sorted(pending) if oracle else range(cfg.slots)
+    y = y.copy()
     decoded: set[int] = set()
-    cancelled: set[tuple[int, int]] = set()
-    y_work = y.copy()
-    rounds = 0
     round_decodes: list[int] = []
-    max_rounds = len(genie) + 1
-    while rounds < max_rounds:
-        rounds += 1
+    while True:
         newly: list[tuple[int, int]] = []
-        # The oracle codec can only ever output occupants' messages, so
-        # empty slots are skipped; the ML codec scans every slot (a false
-        # energy alarm then yields a spurious decode, which PUPE ignores).
-        if cfg.codec.model is CodecModel.ORACLE_THRESHOLD:
-            slot_iter = sorted(occupants)
-        else:
-            slot_iter = range(cfg.slots)
-        for slot in slot_iter:
-            seg = y_work[slot * slot_len : (slot + 1) * slot_len]
+        for slot in slots:
+            seg = cfg.slot(y, slot)
             if not energy_detect(seg, 1.0):
                 continue
-            occ = [t for t in occupants.get(slot, []) if t not in cancelled]
-            if cfg.codec.model is CodecModel.ORACLE_THRESHOLD:
-                if len(occ) != 1:
+            msgs = pending.get(slot, [])
+            if oracle:
+                if len(msgs) != 1 or msgs[0] in decoded:
                     continue
-                msg = occ[0][0]
-                if msg in decoded:
-                    continue
-                ok, out = decode(cfg.codec, genie_sinr=power, true_message=msg)
+                ok, out = decode(cfg.codec, genie_sinr=power, true_message=msgs[0])
             else:
                 ok, out = decode(cfg.codec, observed=seg, gain=math.sqrt(power))
             if ok and out is not None and out not in decoded:
                 decoded.add(out)
-                hit = next((t for t in occ if t[0] == out), None)
-                if hit is not None:
-                    newly.append(hit)
+                if out in msgs:
+                    newly.append((out, slot))
         round_decodes.append(len(newly))
         if mode is ReceiverMode.TIN or not newly:
             break
         for msg, slot in newly:
-            cancelled.add((msg, slot))
-            cw = encode(cfg.codec, msg, power=power)
-            y_work = subtract(y_work, cw, slot * slot_len)
+            pending[slot] = [m for m in pending[slot] if m != msg]
+            cfg.slot(y, slot)[...] -= encode(cfg.codec, msg, power=power)
     return DecodeOutcome(
         decoded_messages=decoded,
         detected_preambles=set(),
-        sic_rounds=rounds,
+        sic_rounds=len(round_decodes),
         round_decodes=round_decodes,
     )

@@ -526,6 +526,30 @@ class TestMain:
         assert "error: UMAC_BENCH_THREADS must be a positive integer, got 'abc'" in err
         assert list(tmp_path.iterdir()) == [path]
 
+    @pytest.mark.parametrize(
+        "preset, change, message",
+        [
+            # numpy's ValueError from an empty argmax: the complex64
+            # preamble correlations overflow at 10^80 transmit power.
+            ("twostep_awgn_mini", {"snr_hi_db": 800.0, "ka_list": [2]},
+             "error: correlations overflow the dictionary's complex64"),
+            # OverflowError from 10^400.
+            ("slotted_aloha_mini", {"snr_hi_db": 4000.0},
+             "error: an SNR of 4000 dB overflows a float"),
+        ],
+    )
+    def test_overflowing_snr_reported(self, tmp_path, capsys, preset, change, message):
+        doc = yaml.safe_load(serialize_config(load_preset(preset)))
+        doc.update(change)
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        out = tmp_path / "out" / "r.csv"
+        out.parent.mkdir()
+        argv = ["--config", str(path), "--out", str(out), "--trials-scale", "0.05"]
+        assert main(argv) == 1
+        assert message in capsys.readouterr().err
+        assert list(out.parent.iterdir()) == []
+
     def test_list_presets(self, capsys):
         assert main(["--list-presets"]) == 0
         out = capsys.readouterr().out

@@ -312,6 +312,18 @@ class TestOmpMany:
         with pytest.raises(DetectionError, match="dictionary must be finite"):
             omp_detect_many(a[:, :2], a.astype(np.complex64, order="F"), 5)
 
+    @pytest.mark.parametrize("scale", [1e39, 1e60, 1e100])
+    def test_correlation_overflow_rejected(self, scale):
+        """A finite signal beyond complex64's range used to make inf - inf =
+        NaN in the correlations, an empty pick band and numpy's error from
+        an empty argmax."""
+        a = gaussian_dict(40, 100, 0).astype(np.complex64, order="F")
+        y = scale * (2 * a[:, 3].astype(complex) + a[:, 7])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DetectionError, match="overflow"):
+                omp_detect(y, Dictionary(columns=a), 5)
+        assert omp_detect(1e30 * y / scale, Dictionary(columns=a), 5).indices[:2] == [3, 7]
+
     @pytest.mark.parametrize("shape", [(2,), (4,), (1, 3)])
     def test_per_signal_values_match_signal_count(self, shape):
         """Three signals take one value or three, not numpy's broadcast."""

@@ -13,9 +13,11 @@ import hashlib
 import numpy as np
 import pytest
 
+from umacsim import montecarlo
 from umacsim.cli import build_experiment, load_preset, preset_names
-from umacsim.montecarlo import estimate_pupe
-from umacsim.protocols import build_dictionaries
+from umacsim.codec import CodecModel, CodecSpec, SlottedAlohaConfig
+from umacsim.montecarlo import SlottedAlohaExperiment, estimate_pupe
+from umacsim.protocols import ReceiverMode, build_dictionaries
 from umacsim.sequences import DictionaryKind, _gaussian_columns, _zadoff_chu_columns
 
 SEED = 7
@@ -29,6 +31,26 @@ GOLDEN_COUNTS = {
     "twostep_rayleigh_1024": (30, 10.0, 10, (36, 0)),
     "sbidma_rayleigh_1024": (30, 10.0, 10, (11, 0)),
     "sbidma_tuned": (30, 6.0, 2, (10, 0)),
+}
+
+# (codec model, receiver) -> ((failures, clashes), sha256 of every receiver
+# outcome) for the slotted-Aloha paths no preset covers (`slotted_aloha_mini`
+# pins the oracle codec with TIN).  Four slots, ka 6 and 4-bit payloads at
+# 5 dB, 200 trials at SEED: collisions, clashes and several SIC rounds occur.
+# Recorded at 6452b5d, before the receiver cancelled in place.
+GOLDEN_SLOTTED = {
+    ("oracle_threshold", "tin_sic"): (
+        (850, 167),
+        "e4c37e6b929d361af5e3106306fb3e34aec13e18eee2515164972f5f40756785",
+    ),
+    ("ml_random_gaussian", "tin"): (
+        (437, 167),
+        "b22ceb2b4ac438c1a7e0f8d08b6a8f244ef2f5bc23e71e7a59fa4fe3cc47aa44",
+    ),
+    ("ml_random_gaussian", "tin_sic"): (
+        (88, 167),
+        "77a6f075eeb90ccd9bc472aa35164af15726e20517d1b21ad74fd770c5d20fd9",
+    ),
 }
 
 # preset -> sha256 of the complex128 (preamble, pilot) column values, as
@@ -65,6 +87,27 @@ def test_estimate_counts(preset):
     est = estimate_pupe(experiment, ka, snr_db, trials, SEED)
     assert (est.failures, est.clashes) == expected
     assert est.total == ka * trials
+
+
+@pytest.mark.parametrize("model, receiver", sorted(GOLDEN_SLOTTED))
+def test_slotted_aloha_outcomes(monkeypatch, model, receiver):
+    # Serial, so that this process makes, and records, every receive.
+    monkeypatch.delenv("UMAC_BENCH_THREADS", raising=False)
+    outcomes = []
+    receive = montecarlo.slotted_aloha_receive
+
+    def recording(*args):
+        out = receive(*args)
+        outcomes.append((sorted(out.decoded_messages), out.sic_rounds, out.round_decodes))
+        return out
+
+    monkeypatch.setattr(montecarlo, "slotted_aloha_receive", recording)
+    codec = CodecSpec(codeword_bits=16, payload_bits=4, model=CodecModel(model))
+    experiment = SlottedAlohaExperiment(SlottedAlohaConfig(4, codec), ReceiverMode(receiver))
+    est = estimate_pupe(experiment, 6, 5.0, 200, SEED)
+    digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
+    assert len(outcomes) == 200
+    assert ((est.failures, est.clashes), digest) == GOLDEN_SLOTTED[model, receiver]
 
 
 def sha256(columns):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from umacsim import montecarlo
 from umacsim.channel import ChannelModel
 from umacsim.codec import CodecModel, CodecSpec, SlottedAlohaConfig
 from umacsim.montecarlo import (
@@ -152,6 +153,35 @@ class TestEstimatePupe:
         with pytest.raises(MonteCarloError, match=f"UMAC_BENCH_THREADS.*{raw!r}"):
             estimate_pupe(NoTrials(), 1, 0.0, 40, seed=1)
 
+    def test_pool_sized_to_its_batches(self, monkeypatch):
+        """A probe gets at most one worker per batch, and a one-batch probe
+        builds no pool; the fake pool maps in this process."""
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", FakePool)
+        monkeypatch.delenv("UMAC_BENCH_THREADS", raising=False)
+        exp = SlottedAlohaExperiment(SlottedAlohaConfig(4, CodecSpec(16, 4)))
+        serial = estimate_pupe(exp, 3, 5.0, 20, seed=2)
+        monkeypatch.setenv("UMAC_BENCH_THREADS", "4")
+        assert estimate_pupe(exp, 3, 5.0, 20, seed=2) == serial
+        assert sizes == [2]
+        monkeypatch.setenv("UMAC_BENCH_THREADS", "2")
+        estimate_pupe(exp, 3, 5.0, TRIAL_BATCH, seed=2)
+        assert sizes == [2]
+
 
 class TestMinSnrSearch:
     def test_known_step_single_user(self):
@@ -230,6 +260,15 @@ class TestMinSnrSearch:
         # A -inf midpoint stays -inf, so that bisection never ended.
         with pytest.raises(MonteCarloError, match="finite"):
             min_snr_for_pupe(baseline_experiment(), 1, 0.05, snr_lo, snr_hi, seed=1)
+
+    def test_overflowing_snr_rejected_before_any_probe(self):
+        # 10^400 used to raise OverflowError in the snr_hi probe.
+        class NoTrials:
+            def run_trials(self, ka, snr_db, rngs):
+                raise AssertionError("probe run")
+
+        with pytest.raises(MonteCarloError, match="4000 dB overflows"):
+            min_snr_for_pupe(NoTrials(), 1, 0.05, -5.0, 4000.0, seed=1)
 
 
 class TestRunSweep:

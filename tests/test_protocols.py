@@ -436,6 +436,22 @@ class TestSlottedAlohaReceive:
         )
         assert out.decoded_messages == set()
 
+    def test_sic_leaves_the_callers_frame(self):
+        from umacsim.codec import encode
+
+        cfg = SlottedAlohaConfig(slots=4, codec=ML8)
+        power = 10 ** 2.0
+        placements = [(10, 1), (20, 3)]
+        y = complex_noise(cfg.frame_len, 1.0, np.random.default_rng(5))
+        for msg, slot in placements:
+            y[slot * 64 : (slot + 1) * 64] += encode(cfg.codec, msg, power=power)
+        before = y.copy()
+        out = slotted_aloha_receive(y, cfg, ReceiverMode.TIN_SIC, placements, power)
+        # Both users decode in round 1 and are cancelled before round 2.
+        assert out.decoded_messages == {10, 20}
+        assert out.round_decodes == [2, 0]
+        assert np.array_equal(y, before)
+
     def test_collision_floor(self):
         from umacsim.bounds import aloha_collision_probability
         from umacsim.montecarlo import estimate_pupe
