@@ -91,7 +91,8 @@ class SlottedAlohaConfig:
         return frame[index * self.slot_len : (index + 1) * self.slot_len]
 
 
-def _check_message(spec: CodecSpec, message: int) -> None:
+def check_message(spec: CodecSpec, message: int) -> None:
+    """Raise CodecError unless `message` fits the payload."""
     if not 0 <= message < spec.n_messages:
         raise CodecError(
             f"message {message} outside the {spec.payload_bits}-bit payload range"
@@ -134,7 +135,7 @@ def encode(spec: CodecSpec, message: int, power: float = 1.0) -> np.ndarray:
     give distinct codewords with overwhelming probability for the oracle
     model and exactly for the Gaussian codebook.
     """
-    _check_message(spec, message)
+    check_message(spec, message)
     if spec.model is CodecModel.ML_RANDOM_GAUSSIAN:
         return _ml_codebook_unit(spec)[:, message] * math.sqrt(power)
     return _oracle_codeword_unit(spec, message) * math.sqrt(power)

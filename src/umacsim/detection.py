@@ -138,10 +138,14 @@ def omp_detect_many(
     precision in the sense of Higham & Mary, Acta Numerica 2022).  Least
     squares and residuals are complex128 throughout.
 
+    A call in which no signal runs (each has a zero `max_iters`, or a
+    threshold its own energy meets) makes no pass and takes no lock.
+
     Raises DetectionError for a signal or dictionary with a non-finite
     entry, a non-finite threshold, a list of `max_iters` or thresholds
-    whose length is not the number of signals, or a pick whose largest
-    correlation overflows the dictionary's precision (is not finite).
+    whose length is not the number of signals, a signal whose energy
+    overflows float64, or one whose correlations could overflow the
+    dictionary's precision (`_range_check`), before any value overflows.
     """
     d = _dictionary(dictionary)
     a = d.columns
@@ -165,8 +169,13 @@ def omp_detect_many(
         _CholeskyOmp(ys[:, b], a, int(iters[b]), float(thresholds[b])) for b in range(count)
     ]
     running = [s for s in states if s.running]
+    if not running:
+        return [s.result() for s in states]
     work = np.result_type(a.dtype, np.complex64)     # complex64 or complex128
     bound = _rounding_bound(n, work, d.max_column_norm)
+    check = _range_check(work, d.max_column_norm)
+    for state in running:
+        check(state.y_norm, 0.0)
     conj_ys = np.empty((len(running), n), dtype=work)
     for row, state in zip(conj_ys, running):
         np.conjugate(state.y, out=row)
@@ -187,6 +196,7 @@ def omp_detect_many(
                         waiting.append(state)
                         break
                     coef_sum = float(np.abs(state.coef).sum())
+                    check(state.y_norm, coef_sum)
                     delta = bound(len(state.selected), state.y_norm, coef_sum)
                     state.step(state.correlations(gram, slot), delta)
             if waiting:
@@ -233,6 +243,31 @@ def _pass(rows: np.ndarray, a: np.ndarray, out: np.ndarray) -> np.ndarray:
         for done in rest:
             done.result()
     return out
+
+
+def _range_check(dtype, max_norm: float) -> Callable[[float, float], None]:
+    """The function (y_norm, coef_sum) -> None that raises DetectionError
+    unless no value `omp_detect_many` computes in `dtype` for a signal of
+    norm y_norm, with coefficients of summed magnitude coef_sum, can
+    overflow.  It is checked before the beta0 pass and before each
+    correlation update, so an overflow is rejected before numpy meets it.
+
+    With M = `max_norm` and m = max(1, M), each such value is at most
+    m (m + y_norm + m coef_sum) in magnitude: an entry of y at most y_norm,
+    a coefficient at most coef_sum, a Gram entry at most M^2, and every
+    partial sum of beta0_j = conj(y)^T a_j and of beta0_j - conj(coef) G_S
+    at most y_norm M + coef_sum M^2 by Cauchy-Schwarz.  A quarter of
+    `dtype`'s largest value leaves room for their rounding (below 3x for
+    n below 10^7, as in `_rounding_bound`).
+    """
+    m = max(1.0, max_norm)
+    ceiling = float(np.finfo(dtype).max) / 4.0
+
+    def check(y_norm: float, coef_sum: float) -> None:
+        if m * (m + y_norm + m * coef_sum) > ceiling:
+            raise DetectionError(f"correlations overflow the dictionary's {np.dtype(dtype)}")
+
+    return check
 
 
 def _rounding_bound(n: int, dtype, max_norm: float) -> Callable[[int, float, float], float]:
@@ -297,6 +332,8 @@ class _CholeskyOmp:
         self.a = a
         self.y = np.array(y, dtype=complex)        # contiguous copy of the column
         e_y = energy(self.y)
+        if not np.isfinite(e_y):
+            raise DetectionError("signal energy overflows float64")
         self.stop_energy = residual_threshold * e_y
         self.max_iters = max(0, min(max_iters, a.shape[1]))
         self.selected: list[int] = []
@@ -338,8 +375,6 @@ class _CholeskyOmp:
         (overwritten), each within `bound` of its complex128 value."""
         corr[self.selected] = -np.inf
         top = float(corr.max())
-        if not np.isfinite(top):
-            raise DetectionError(f"correlations overflow the dictionary's {self.a.dtype}")
         # Any column below this cannot have the largest complex128 value.
         # np.float64 keeps the comparison in double precision.
         band = np.flatnonzero(corr >= np.float64(top - 2.0 * bound))

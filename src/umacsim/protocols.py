@@ -17,7 +17,10 @@ The receivers are genie-aided where a surrogate codec needs it:
   channel-estimation mismatch term |h_hat - h|^2 E_data, where h_hat is the
   actual pilot-based LS estimate taken from the received samples.  The
   mismatch term is what makes shared pilots (same preamble, or small
-  preamble sets) hurt and enlarged preamble sets help.
+  preamble sets) hurt and enlarged preamble sets help.  This receiver
+  reads the preamble region, the pilots and each user's energies, never a
+  codeword sample, so no codeword is built for an oracle user: its
+  occasions hold its pilot, and their codeword samples hold only noise.
 - TIN performs a single round; TIN-SIC subtracts the ground-truth
   contribution (ideal SIC) of every decoded user and repeats detection
   until a round decodes nobody new.
@@ -33,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import ChannelModel, energy
-from .codec import CodecModel, CodecSpec, SlottedAlohaConfig, decode, encode
+from .codec import CodecModel, CodecSpec, SlottedAlohaConfig, check_message, decode, encode
 from .detection import (
     DetectionResult,
     energy_detect,
@@ -176,19 +179,26 @@ def build_dictionaries(cfg: TwoStepConfig) -> tuple[Dictionary, Dictionary | Non
 
 @dataclass
 class UserTx:
-    """Genie-side record of one user's transmission."""
+    """Genie-side record of one user's transmission.
+
+    `copy_signal` is what the user places at the start of each of its
+    occasions: its pilot (empty when pilot_len is 0), then, with the ML
+    codec only, its codeword.  The oracle codec's receiver reads no codeword
+    sample, so an oracle copy is the pilot alone, and its energies are
+    nominal: the codeword's is complex_uses unit-modulus symbols times the
+    copy's amplitude squared, within a few ulp of the energy of the
+    codeword `encode` would give.  The ML codec's energies are those of
+    its samples.
+    """
 
     message: int
     preamble_index: int
     occasions: tuple[int, ...]
     gain: complex                   # 1 for AWGN; CN(0,1) frame-constant otherwise
     preamble_amplitude: float       # sqrt(power): scales the preamble column
-    copy_signal: np.ndarray         # pilot + codeword placed in each occasion
+    copy_signal: np.ndarray         # pilot, then the ML codec's codeword
     codeword_energy: float          # per copy
-    copy_energy: float = field(init=False)      # of copy_signal, read per SINR term
-
-    def __post_init__(self):
-        self.copy_energy = float(energy(self.copy_signal))
+    copy_energy: float              # pilot + codeword, per copy: read per SINR term
 
 
 @dataclass
@@ -200,8 +210,10 @@ class TransmissionRecord:
     users: list[UserTx] = field(default_factory=list)
 
     def add_user(self, frame: np.ndarray, user: UserTx, scale: complex) -> None:
-        """Add `scale` times the user's preamble and packet copies to `frame`,
-        in place: the one statement of where a user's signals sit in a frame."""
+        """Add `scale` times the user's preamble and copy signals to `frame`,
+        in place: the one statement of where a user's signals sit in a frame.
+        An oracle user's copy is its pilot, so only the pilot samples of its
+        occasions change."""
         # The preamble is rebuilt from the cached dictionary at each use
         # rather than kept per user; complex64 columns are upcast first.
         column = build_dictionaries(self.config)[0].column(user.preamble_index)
@@ -232,7 +244,8 @@ def encode_user(
     gain: complex = 1.0,
     preamble_index: int | None = None,
 ) -> UserTx:
-    """Draw a preamble (uniform unless forced) and build the user's signals."""
+    """Draw a preamble (uniform unless forced) and build the user's signals:
+    with the oracle codec, its pilot and energies but no codeword (`UserTx`)."""
     _, pilot_dict = build_dictionaries(cfg)
     if preamble_index is None:
         preamble_index = int(rng.integers(0, cfg.preamble.size))
@@ -241,12 +254,20 @@ def encode_user(
     copy_scale = sqrt_p
     if cfg.rho > 1 and cfg.energy_policy is EnergyPolicy.SPLIT_ACROSS_COPIES:
         copy_scale = sqrt_p / math.sqrt(cfg.rho)
-    codeword = encode(cfg.codec, message, power=1.0) * copy_scale
     if cfg.pilot_len > 0:
         pilot = pilot_dict.column(pilot_index) * copy_scale
-        copy_signal = np.concatenate([pilot, codeword])
     else:
-        copy_signal = codeword
+        pilot = np.empty(0, dtype=complex)
+    if cfg.codec.model is CodecModel.ORACLE_THRESHOLD:
+        check_message(cfg.codec, message)
+        copy_signal = pilot
+        codeword_energy = cfg.codec.complex_uses * copy_scale**2
+        copy_energy = energy(pilot) + codeword_energy
+    else:
+        codeword = encode(cfg.codec, message, power=1.0) * copy_scale
+        copy_signal = np.concatenate([pilot, codeword])
+        codeword_energy = energy(codeword)
+        copy_energy = energy(copy_signal)
     return UserTx(
         message=message,
         preamble_index=preamble_index,
@@ -254,7 +275,8 @@ def encode_user(
         gain=gain,
         preamble_amplitude=sqrt_p,
         copy_signal=copy_signal,
-        codeword_energy=float(energy(codeword)),
+        codeword_energy=codeword_energy,
+        copy_energy=copy_energy,
     )
 
 

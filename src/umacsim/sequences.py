@@ -169,9 +169,11 @@ def _gaussian_columns(
     columns is made: the real rows are parked as float64 in the output's
     own bytes, and the imaginary rows are drawn twice from the same
     generator state, once to sum the column norms and once to write the
-    scaled rows over the parked ones.  Each chunk of rows is drawn in a
-    worker thread while the one before it is copied.  Besides the output,
-    the build holds four chunk buffers of about _DRAW_BLOCK values.
+    scaled rows over the parked ones.  Over two or more chunks, each chunk
+    of rows is drawn in a worker thread while the one before it is copied;
+    a single chunk has nothing to overlap, so it is drawn in the calling
+    thread.  Besides the output, the build holds four chunk buffers of
+    about _DRAW_BLOCK values.
     """
     cols = np.empty((length, size), dtype=dtype, order="F")
     # Row r of a column is parked in the bytes that its output value takes.
@@ -186,19 +188,23 @@ def _gaussian_columns(
     x, prod = (np.empty(draws[0].shape, dtype=complex) for _ in range(2))
 
     def drawn_rows():
-        """(r0, r1, the next draw of rows r0:r1) for each chunk.  Draws
-        alternate between two buffers: _prefetched draws one chunk ahead,
-        so the caller is done with a chunk before the draw two after it."""
-        for i, (r0, r1) in enumerate(chunks):
-            yield r0, r1, rng.standard_normal(out=draws[i % 2][: r1 - r0])
+        """(r0, r1, the next draw of rows r0:r1) for each chunk, drawn one
+        chunk ahead in a worker thread (_prefetched) unless there is only
+        one.  Draws alternate between two buffers, so the caller is done
+        with a chunk before the draw two after it."""
+        items = (
+            (r0, r1, rng.standard_normal(out=draws[i % 2][: r1 - r0]))
+            for i, (r0, r1) in enumerate(chunks)
+        )
+        return _prefetched(items) if len(chunks) > 1 else items
 
-    for r0, r1, real in _prefetched(drawn_rows()):
+    for r0, r1, real in drawn_rows():
         for t in tiles:
             parked[r0:r1, t] = real[:, t]
 
     imag_state = rng.bit_generator.state
     sq = np.zeros(size)
-    for r0, r1, imag in _prefetched(drawn_rows()):
+    for r0, r1, imag in drawn_rows():
         xc = x[: r1 - r0]
         for t in tiles:
             xc.real[:, t] = parked[r0:r1, t]
@@ -218,7 +224,7 @@ def _gaussian_columns(
     # its own, then rounded into place.
     rng.bit_generator.state = imag_state
     scaled = x.view(np.float64).reshape(-1)
-    for r0, r1, imag in _prefetched(drawn_rows()):
+    for r0, r1, imag in drawn_rows():
         real = np.multiply(
             parked[r0:r1], gain, out=scaled[: (r1 - r0) * size].reshape((-1, size), order="F")
         )

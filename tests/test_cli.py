@@ -538,6 +538,7 @@ class TestMain:
              "error: an SNR of 4000 dB overflows a float"),
         ],
     )
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_snr_reported(self, tmp_path, capsys, preset, change, message):
         doc = yaml.safe_load(serialize_config(load_preset(preset)))
         doc.update(change)

@@ -312,17 +312,56 @@ class TestOmpMany:
         with pytest.raises(DetectionError, match="dictionary must be finite"):
             omp_detect_many(a[:, :2], a.astype(np.complex64, order="F"), 5)
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("scale", [1e39, 1e60, 1e100])
     def test_correlation_overflow_rejected(self, scale):
         """A finite signal beyond complex64's range used to make inf - inf =
         NaN in the correlations, an empty pick band and numpy's error from
-        an empty argmax."""
+        an empty argmax.  It is rejected before numpy meets an overflow, so
+        no RuntimeWarning precedes the error."""
         a = gaussian_dict(40, 100, 0).astype(np.complex64, order="F")
         y = scale * (2 * a[:, 3].astype(complex) + a[:, 7])
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(DetectionError, match="overflow"):
-                omp_detect(y, Dictionary(columns=a), 5)
+        with pytest.raises(DetectionError, match="correlations overflow"):
+            omp_detect(y, Dictionary(columns=a), 5)
         assert omp_detect(1e30 * y / scale, Dictionary(columns=a), 5).indices[:2] == [3, 7]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("dtype, scale", [
+        (np.complex64, 1e160), (np.complex64, 1e300), (np.complex128, 1e300),
+    ])
+    def test_signal_energy_overflow_rejected(self, dtype, scale):
+        """A finite signal whose float64 energy overflows used to return no
+        selection and a NaN residual energy."""
+        a = gaussian_dict(40, 100, 0).astype(np.complex64, order="F")
+        y = scale * (2 * a[:, 3].astype(complex) + a[:, 7])
+        d = Dictionary(columns=a.astype(dtype))
+        with pytest.raises(DetectionError, match="energy overflows"):
+            omp_detect(y, d, 5)
+        with pytest.raises(DetectionError, match="energy overflows"):
+            omp_detect_many(np.column_stack([a[:, 3], y]), d, 5)
+
+    def test_idle_call_makes_no_pass(self, monkeypatch):
+        """A call in which no signal runs (a zero signal, one whose threshold
+        its own energy meets, one with no iterations) reads no dictionary
+        column and never touches the Gram store, so it takes no lock."""
+        passes = []
+        whole = detection._pass
+
+        def counted(rows, a, out):
+            passes.append(rows.shape[0])
+            return whole(rows, a, out)
+
+        monkeypatch.setattr(detection, "_pass", counted)
+        a = gaussian_dict(20, 40, 0)
+        d = Dictionary(columns=a)
+        ys = np.column_stack([np.zeros(20), a[:, 3], a[:, 5]])
+        results = omp_detect_many(ys, d, [5, 5, 0], residual_threshold=[0.0, 1.0, 0.0])
+        assert passes == []
+        assert "gram" not in vars(d)
+        assert [r.indices for r in results] == [[], [], []]
+        assert [r.residual_energy for r in results] == [energy(y.copy()) for y in ys.T]
+        omp_detect_many(ys, d, 5)
+        assert passes[0] == 2
 
     @pytest.mark.parametrize("shape", [(2,), (4,), (1, 3)])
     def test_per_signal_values_match_signal_count(self, shape):

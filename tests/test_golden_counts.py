@@ -53,6 +53,18 @@ GOLDEN_SLOTTED = {
     ),
 }
 
+# preset -> sha256 of every two-step receiver outcome (sorted decoded
+# messages, sorted detected preambles, SIC rounds, decodes per round) of
+# the `GOLDEN_COUNTS` estimate, recorded at fbbb4b4, while oracle users
+# still sent a codeword.  The oracle codec's SINRs now use nominal codeword
+# energies, a few ulp from the exact ones; no outcome moved.
+GOLDEN_TWOSTEP = {
+    "twostep_awgn_baseline": "04cc2005eede173ba062886ced3945ee4ec6499f533f5f7c92e596452773cd97",
+    "twostep_awgn_mini": "63471eb813c277264b0e2c43f0c100c3495b77df710cb6f77329b8d7e5e022a9",
+    "twostep_rayleigh_1024": "c2484f62f7fd75263e9a9ee66b832e90b472d812adeb49ed9a61e319c7ccc6a2",
+    "sbidma_rayleigh_1024": "b83aec7003c3a0e4c65ad765aff9d0e32d6692cd7433455cf98296e8f45a4a66",
+}
+
 # preset -> sha256 of the complex128 (preamble, pilot) column values, as
 # recorded at 6f4eef0.  Preamble columns are stored rounded to complex64, so
 # their pin is on the values before rounding, from the private builders.
@@ -108,6 +120,30 @@ def test_slotted_aloha_outcomes(monkeypatch, model, receiver):
     digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
     assert len(outcomes) == 200
     assert ((est.failures, est.clashes), digest) == GOLDEN_SLOTTED[model, receiver]
+
+
+@pytest.mark.parametrize("preset", sorted(GOLDEN_TWOSTEP))
+def test_twostep_outcomes(monkeypatch, preset):
+    # Serial, so that this process makes, and records, every receive.
+    monkeypatch.delenv("UMAC_BENCH_THREADS", raising=False)
+    outcomes = []
+    receive = montecarlo.twostep_receive_many
+
+    def recording(*args):
+        outs = receive(*args)
+        outcomes.extend(
+            (sorted(o.decoded_messages), sorted(o.detected_preambles), o.sic_rounds,
+             o.round_decodes)
+            for o in outs
+        )
+        return outs
+
+    monkeypatch.setattr(montecarlo, "twostep_receive_many", recording)
+    ka, snr_db, trials, expected = GOLDEN_COUNTS[preset]
+    est = estimate_pupe(build_experiment(load_preset(preset)), ka, snr_db, trials, SEED)
+    assert len(outcomes) == trials
+    assert (est.failures, est.clashes) == expected
+    assert hashlib.sha256(repr(outcomes).encode()).hexdigest() == GOLDEN_TWOSTEP[preset]
 
 
 def sha256(columns):

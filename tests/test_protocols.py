@@ -1,11 +1,18 @@
 import math
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 
 from umacsim.channel import ChannelModel, complex_noise, energy
-from umacsim.codec import CodecModel, CodecSpec, SlottedAlohaConfig, decode_threshold
+from umacsim.codec import (
+    CodecError,
+    CodecModel,
+    CodecSpec,
+    SlottedAlohaConfig,
+    decode_threshold,
+    encode,
+)
 from umacsim.montecarlo import SlottedAlohaExperiment, TwoStepExperiment, draw_message
 from umacsim.protocols import (
     EnergyPolicy,
@@ -146,15 +153,20 @@ class TestConfigs:
 
 class TestEncode:
     def test_frame_sparsity(self):
-        cfg = awgn_cfg()
-        frame, user = encode_frame(cfg, 12345, np.random.default_rng(0))
-        assert len(frame) == 16278
-        occupied = np.zeros(len(frame), dtype=bool)
-        occupied[: cfg.preamble_region_len] = True
-        off = cfg.occasion_offset(user.occasions[0])
-        occupied[off : off + cfg.occasion_len] = True
-        assert np.all(frame[~occupied] == 0)
-        assert np.any(frame[occupied] != 0)
+        """A user's signals fill the preamble region and the start of its
+        occasion: the pilot and, with the ML codec only, the codeword."""
+        for codec, pilot_len in product((ORACLE, ML8), (0, 50)):
+            cfg = awgn_cfg(codec=codec, pilot_len=pilot_len)
+            frame, user = encode_frame(cfg, 123, np.random.default_rng(0))
+            assert len(frame) == 139 * 2 + 64 * (pilot_len + codec.complex_uses)
+            sent = pilot_len + (codec.complex_uses if codec is ML8 else 0)
+            assert len(user.copy_signal) == sent
+            occupied = np.zeros(len(frame), dtype=bool)
+            occupied[: cfg.preamble_region_len] = True
+            off = cfg.occasion_offset(user.occasions[0])
+            occupied[off : off + sent] = True
+            assert np.all(frame[~occupied] == 0)
+            assert np.all(frame[occupied] != 0)
 
     def test_preamble_maps_to_occasion_and_pilot(self):
         cfg = fading_cfg(
@@ -205,16 +217,48 @@ class TestEncode:
         u_full = encode_user(full, 3, np.random.default_rng(2), preamble_index=10)
         assert u_split.copy_energy == pytest.approx(u_full.copy_energy / 2, rel=1e-12)
 
-    def test_copy_energy_is_the_energy_of_the_copy(self):
-        """The energy kept at encoding is exactly that of the copy signal,
-        with a pilot before the codeword and without one."""
-        for cfg in (fading_cfg(), awgn_cfg()):
-            user = encode_user(cfg, 5, np.random.default_rng(3))
+    def test_ml_copy_is_pilot_then_codeword(self):
+        """The ML codec's copy is its pilot, then its codeword, and the
+        energies kept at encoding are exactly those of its samples."""
+        small = dict(preamble=PreambleSpec(size=8, base_length=31, repetitions=2),
+                     n_occasions=8, codec=ML8)
+        for cfg in (fading_cfg(pilot_len=16, **small), awgn_cfg(**small)):
+            user = encode_user(cfg, 5, np.random.default_rng(3), power=2.5)
+            codeword = user.copy_signal[cfg.pilot_len :]
             assert len(user.copy_signal) == cfg.occasion_len
+            assert np.array_equal(codeword, encode(ML8, 5) * math.sqrt(2.5))
             assert user.copy_energy == energy(user.copy_signal)
+            assert user.codeword_energy == energy(codeword)
+
+    @pytest.mark.parametrize("rho", [1, 2])
+    def test_oracle_copy_is_the_pilot_with_nominal_energies(self, rho):
+        """An oracle copy holds its pilot and no codeword sample.  Its
+        codeword energy is within a few ulp of that of the codeword the
+        codec encodes, over 1,000 messages at each of several scales, and
+        its copy energy is the pilot's plus that.  Half the users have a
+        pilot, half none."""
+        rng = np.random.default_rng(4)
+        configs = (fading_cfg(rho=rho), awgn_cfg(rho=rho))
+        for power in (10**-1.5, 0.8, 10.0, 10**2.4, 7.7e5):
+            copy_scale = math.sqrt(power) / math.sqrt(rho)
+            for i in range(1000):
+                cfg = configs[i % 2]
+                msg = draw_message(rng, 100)
+                user = encode_user(cfg, msg, rng, power=power)
+                assert len(user.copy_signal) == cfg.pilot_len
+                exact = energy(encode(ORACLE, msg) * copy_scale)
+                assert abs(user.codeword_energy - exact) <= 8 * np.spacing(exact)
+                assert user.copy_energy == energy(user.copy_signal) + user.codeword_energy
+
+    def test_oracle_message_is_range_checked(self):
+        with pytest.raises(CodecError, match="payload range"):
+            encode_user(awgn_cfg(), 1 << 100, np.random.default_rng(0))
 
     def test_power_constraint_all_protocols(self):
-        configs = [awgn_cfg(), fading_cfg()]
+        """A user's frame energy stays within its length times the power.  An
+        oracle frame holds no codeword, so each copy's stored codeword energy
+        is added to what the frame holds."""
+        configs = [awgn_cfg(), fading_cfg(), awgn_cfg(codec=ML8, pilot_len=50)]
         configs.append(TwoStepConfig(
             preamble=PreambleSpec(size=1024, base_length=139, repetitions=2),
             n_occasions=64, codec=ORACLE, pilot_len=50,
@@ -223,8 +267,14 @@ class TestEncode:
         power = 0.8
         for cfg in configs:
             for seed in range(5):
-                frame, _ = encode_frame(cfg, seed + 1, np.random.default_rng(seed), power=power)
-                assert energy(frame) <= len(frame) * power * (1 + 1e-9)
+                frame, user = encode_frame(cfg, seed + 1, np.random.default_rng(seed), power=power)
+                sent = energy(frame)
+                if cfg.codec.model is CodecModel.ORACLE_THRESHOLD:
+                    copies = len(user.occasions)
+                    preamble = energy(frame[: cfg.preamble_region_len])
+                    assert sent == pytest.approx(preamble + copies * energy(user.copy_signal))
+                    sent += copies * user.codeword_energy
+                assert sent <= len(frame) * power * (1 + 1e-9)
 
 
 class TestTwoStepReceive:

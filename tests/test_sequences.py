@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import umacsim
+from umacsim import sequences
 from umacsim.channel import energy
 from umacsim.sequences import (
     Dictionary,
@@ -173,6 +174,22 @@ class TestGaussianColumns:
                 size, length, length, np.random.default_rng(seed), np.complex64
             )
             assert cols.tobytes(order="F") == ref.tobytes(order="F")
+
+    @pytest.mark.parametrize("size, length, pools", [(129, 40, 0), (600, 1000, 3)])
+    def test_one_chunk_is_drawn_without_a_thread(self, monkeypatch, size, length, pools):
+        """A build of one chunk of rows starts no worker thread; a build of
+        several prefetches each of its three passes in one.  Both give the
+        naive draw's bytes (`test_matches_naive_draw`)."""
+        started = []
+
+        class Counted(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(sequences, "ThreadPoolExecutor", Counted)
+        _gaussian_columns(size, length, length, np.random.default_rng(0), np.complex64)
+        assert len(started) == pools
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
     def test_build_memory_is_the_stored_bytes(self):
