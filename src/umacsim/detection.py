@@ -5,9 +5,10 @@ windowed subtraction that no receiver calls: they cancel in place.
 from __future__ import annotations
 
 import os
+import threading
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,14 +28,18 @@ LS_PIVOT_TOL = 1e-12
 # (64, 1778) x (1778, 8192) complex64 product takes 0.78-0.93 ms per row,
 # a one-row product 6.6-7.3 ms), so fetching ahead saves passes.  It
 # changes how many passes a call makes, never its results.  Rows fetched
-# ahead go into the Gram store as every fetched row does.
-FETCH_AHEAD = 8
+# ahead go into the Gram store as every fetched row does, and a receive's
+# later SIC rounds find most of their picks' rows there.  Over 12 seeds of
+# a sbidma_tuned estimate at Ka 30 and 10 dB, 14 took 3.1 passes (beta0's
+# included) and 154 rows with 5 signals, 3.2 and 489 with 16; 8 took 5.5
+# and 156, 5.9 and 477; 16 took 3.0 and 174, 3.0 and 550.
+FETCH_AHEAD = 14
 
 # A dictionary whose whole Gram matrix, in the correlation dtype, takes at
 # most this many bytes keeps its Gram store (`Dictionary.gram`) for its
-# lifetime, so later calls fetch only the rows no call has fetched before.
-# twostep_rayleigh_1024's takes 8 MiB; sbidma_tuned's would take 512 MiB,
-# so each of its calls fills a fresh store, dropped with the call.
+# lifetime, so later receives fetch only the rows no receive has fetched
+# before.  twostep_rayleigh_1024's takes 8 MiB; sbidma_tuned's would take
+# 512 MiB, so each of its receives fills a fresh store (`gram_store`).
 GRAM_BYTES = 1 << 24
 
 # A pass over a dictionary of at least this many bytes is split into one
@@ -54,6 +59,40 @@ class DetectionResult:
     indices: list[int]                 # in selection order, no repeats
     coefficients: np.ndarray           # LS amplitude per selected index
     residual_energy: float
+
+
+@dataclass
+class SicHistory:
+    """One signal's cancellations across `omp_detect_many` calls on one
+    dictionary: beta0 = conj(y_1)^T A and |y_1| of its first frame y_1, set
+    by the call that makes its beta0 pass, and the atoms cancelled from it
+    since, each with its coefficient c (an atom cancelled twice is listed
+    twice).  Ideal SIC makes the frame y_1 - sum_u c_u a_u, rounded in
+    complex128, so a later call takes its beta0 from the cancelled atoms'
+    Gram rows, beta0 - sum_u conj(c_u) g_u, and makes no pass for it."""
+
+    beta0: np.ndarray | None = None
+    y_norm: float = 0.0
+    atoms: list[int] = field(default_factory=list)
+    coefs: list[complex] = field(default_factory=list)
+
+    def cancel(self, atom: int, coef: complex) -> None:
+        """Record that `coef` times column `atom` left the signal."""
+        self.atoms.append(atom)
+        self.coefs.append(coef)
+
+
+def gram_store(dictionary) -> tuple[np.ndarray, np.ndarray, threading.Lock]:
+    """The Gram store a receive passes to each of its `omp_detect_many`
+    calls: the dictionary's own (`Dictionary.gram`), kept for its lifetime,
+    if its whole Gram matrix fits in `GRAM_BYTES`, else a fresh one that
+    lives as long as the caller holds it."""
+    d = _dictionary(dictionary)
+    size = d.columns.shape[1]
+    itemsize = np.dtype(np.result_type(d.columns.dtype, np.complex64)).itemsize
+    if size * size * itemsize <= GRAM_BYTES:
+        return d.gram
+    return Dictionary(columns=d.columns).gram
 
 
 def _dictionary(dictionary) -> Dictionary:
@@ -96,6 +135,8 @@ def omp_detect_many(
     dictionary,
     max_iters,
     residual_threshold=0.0,
+    store: tuple[np.ndarray, np.ndarray, threading.Lock] | None = None,
+    histories: list[SicHistory | None] | None = None,
 ) -> list[DetectionResult]:
     """`omp_detect` on every column of `ys` (shape (length, B)), in lockstep.
 
@@ -114,37 +155,49 @@ def omp_detect_many(
     signal, the rows of its `FETCH_AHEAD` largest correlations that have
     none yet, its likeliest next picks.  A pass costs little more per row
     when it is wide, so a call makes a few wide passes instead of one
-    narrow pass per iteration.  The rows go into a Gram store
-    (`Dictionary.gram`) in the order they are fetched, and a signal reads
-    its G_S from the store.  If the dictionary's whole Gram matrix fits in
-    `GRAM_BYTES` (`twostep_rayleigh_1024`'s does), the store is the
-    dictionary's own and serves every later call on it; calls in several
-    threads take turns, each holding the store's lock until it returns.
-    Otherwise the call fills a fresh store and drops it on return.  Over a
-    dictionary of at least `SPLIT_BYTES` (`sbidma_tuned`'s, not
-    `twostep_rayleigh_1024`'s), both kinds of pass are split into one
-    column block per CPU, the blocks multiplied concurrently (`_pass`),
-    because umacsim runs BLAS on one thread.
+    narrow pass per iteration.  The rows go into a Gram store in the order
+    they are fetched, and a signal reads its G_S from the store.  `store`
+    is the one `gram_store` gives for the dictionary (the default): its
+    own, serving every later call, if its whole Gram matrix fits in
+    `GRAM_BYTES` (`twostep_rayleigh_1024`'s does), else a fresh one, which
+    a caller passes to each call of one receive and then drops.  Calls in
+    several threads on one store take turns, each holding the store's lock
+    until it returns.  Over a dictionary of at least `SPLIT_BYTES`
+    (`sbidma_tuned`'s, not `twostep_rayleigh_1024`'s), both kinds of pass
+    are split into one column block per CPU, the blocks multiplied
+    concurrently (`_pass`), because umacsim runs BLAS on one thread.
+
+    `histories`, one `SicHistory` or None per signal, carries ideal SIC
+    across calls.  A signal whose history has no beta0 yet joins the beta0
+    pass, and the history keeps its beta0 and norm.  A signal whose history
+    has one is that first frame with the history's atoms cancelled, and
+    makes no pass: its beta0 is the history's less sum_u conj(c_u) g_u,
+    from the store's rows of the cancelled atoms.  Those rows are mostly
+    there from the pick that detected the atom; a missing one (the last
+    pick of a signal that stopped right after it) is fetched in the call's
+    first pass, for which the signal waits.
 
     The correlations run in the dictionary's own precision: complex64 for
     the preamble dictionaries, whose contiguous columns make the passes
     fast.  Only the pick reads them, and the pick is exact: every column
     whose correlation lies within a rigorous rounding bound of the largest
-    (`_rounding_bound`) is re-scored in complex128 against the stored
-    residual, and the largest re-scored value wins, ties to the lowest
-    index as `np.argmax` breaks them.  So the selections are those of a
-    complex128 correlation of the same column values, whatever the
-    dictionary's dtype, the batch or the rows fetched ahead (mixed
-    precision in the sense of Higham & Mary, Acta Numerica 2022).  Least
-    squares and residuals are complex128 throughout.
+    (`_rounding_bound`, which covers the cancelled atoms' terms and the
+    cancelled frame's rounding) is re-scored in complex128 against the
+    stored residual, and the largest re-scored value wins, ties to the
+    lowest index as `np.argmax` breaks them.  So the selections are those
+    of a complex128 correlation of the same column values, whatever the
+    dictionary's dtype, the batch, the rows fetched ahead or where beta0
+    came from (mixed precision in the sense of Higham & Mary, Acta
+    Numerica 2022).  Least squares and residuals are complex128
+    throughout, from the signal as passed.
 
     A call in which no signal runs (each has a zero `max_iters`, or a
     threshold its own energy meets) makes no pass and takes no lock.
 
     Raises DetectionError for a signal or dictionary with a non-finite
-    entry, a non-finite threshold, a list of `max_iters` or thresholds
-    whose length is not the number of signals, a signal whose energy
-    overflows float64, or one whose correlations could overflow the
+    entry, a non-finite threshold, a list of `max_iters`, thresholds or
+    histories whose length is not the number of signals, a signal whose
+    energy overflows float64, or one whose correlations could overflow the
     dictionary's precision (`_range_check`), before any value overflows.
     """
     d = _dictionary(dictionary)
@@ -165,8 +218,13 @@ def omp_detect_many(
     thresholds = _per_signal("residual_threshold", residual_threshold, count)
     if not np.isfinite(thresholds).all():
         raise DetectionError(f"residual_threshold must be finite, got {residual_threshold}")
+    if histories is None:
+        histories = [None] * count
+    elif len(histories) != count:
+        raise DetectionError(f"histories needs {count} entries, got {len(histories)}")
     states = [
-        _CholeskyOmp(ys[:, b], a, int(iters[b]), float(thresholds[b])) for b in range(count)
+        _CholeskyOmp(ys[:, b], a, int(iters[b]), float(thresholds[b]), histories[b])
+        for b in range(count)
     ]
     running = [s for s in states if s.running]
     if not running:
@@ -175,29 +233,29 @@ def omp_detect_many(
     bound = _rounding_bound(n, work, d.max_column_norm)
     check = _range_check(work, d.max_column_norm)
     for state in running:
-        check(state.y_norm, 0.0)
-    conj_ys = np.empty((len(running), n), dtype=work)
-    for row, state in zip(conj_ys, running):
-        np.conjugate(state.y, out=row)
-    # |conj(r)^T a_j| == |a_j^H r| without a conjugated dictionary copy.
-    size = a.shape[1]
-    for state, beta0 in zip(running, _pass(conj_ys, a, np.empty((len(running), size), work))):
-        state.beta0 = beta0
-    # Row slot[j] of `gram` is conj(a_j)^T A once slot[j] >= 0.  A fresh
-    # store, for this call only, unless the dictionary keeps its own.
-    fits = size * size * np.dtype(work).itemsize <= GRAM_BYTES
-    gram, slot, lock = (d if fits else Dictionary(columns=a)).gram
+        check(state.y_norm, state.cancelled_sum)
+    fresh = [s for s in running if not s.derived]
+    if fresh:
+        conj_ys = np.empty((len(fresh), n), dtype=work)
+        for row, state in zip(conj_ys, fresh):
+            np.conjugate(state.y, out=row)
+        # |conj(r)^T a_j| == |a_j^H r| without a conjugated dictionary copy.
+        betas = _pass(conj_ys, a, np.empty((len(fresh), a.shape[1]), work))
+        for state, beta0 in zip(fresh, betas):
+            state.start(beta0)
+    # Row slot[j] of `gram` is conj(a_j)^T A once slot[j] >= 0.
+    gram, slot, lock = gram_store(d) if store is None else store
     with lock:
         while running:
             waiting = []
             for state in running:
                 while state.running:
-                    if state.selected and slot[state.selected[-1]] < 0:
+                    if state.needs(slot):
                         waiting.append(state)
                         break
-                    coef_sum = float(np.abs(state.coef).sum())
+                    coef_sum = state.cancelled_sum + float(np.abs(state.coef).sum())
                     check(state.y_norm, coef_sum)
-                    delta = bound(len(state.selected), state.y_norm, coef_sum)
+                    delta = bound(len(state.selected) + state.cancelled, state.y_norm, coef_sum)
                     state.step(state.correlations(gram, slot), delta)
             if waiting:
                 # One pass for the rows every waiting signal wants, without
@@ -251,14 +309,19 @@ def _range_check(dtype, max_norm: float) -> Callable[[float, float], None]:
     norm y_norm, with coefficients of summed magnitude coef_sum, can
     overflow.  It is checked before the beta0 pass and before each
     correlation update, so an overflow is rejected before numpy meets it.
+    For a signal with a `SicHistory`, y is the history's first frame y_1
+    and the m cancelled atoms' c_u count as coefficients: `omp_detect_many`
+    checks |y_1| and sum_u |c_u| before any beta0 is taken from Gram rows,
+    and |y_1| and coef_sum + sum_u |c_u| before each update.
 
     With M = `max_norm` and m = max(1, M), each such value is at most
     m (m + y_norm + m coef_sum) in magnitude: an entry of y at most y_norm,
-    a coefficient at most coef_sum, a Gram entry at most M^2, and every
-    partial sum of beta0_j = conj(y)^T a_j and of beta0_j - conj(coef) G_S
-    at most y_norm M + coef_sum M^2 by Cauchy-Schwarz.  A quarter of
-    `dtype`'s largest value leaves room for their rounding (below 3x for
-    n below 10^7, as in `_rounding_bound`).
+    a coefficient c_u or coef_s at most coef_sum, a Gram entry at most M^2,
+    and every partial sum of beta0_j = conj(y_1)^T a_j, of
+    beta0_j - sum_u conj(c_u) g_uj and of that less conj(coef) G_S at most
+    y_norm M + coef_sum M^2 by Cauchy-Schwarz.  A quarter of `dtype`'s
+    largest value leaves room for their rounding (below 3x for n below
+    10^7, as in `_rounding_bound`).
     """
     m = max(1.0, max_norm)
     ceiling = float(np.finfo(dtype).max) / 4.0
@@ -277,6 +340,14 @@ def _rounding_bound(n: int, dtype, max_norm: float) -> Callable[[int, float, flo
     with k atoms selected, and s_j its complex128 re-score against the
     stored residual in `_CholeskyOmp._pick`.
 
+    A signal with a `SicHistory` is its first frame y_1 with m atoms C
+    cancelled, y_1 - sum_u c_u a_u as ideal SIC computes it, and its beta0
+    is beta0_1 - conj(c) G_C, so its beta is a combination of k + m Gram
+    rows.  `omp_detect_many` passes k + m for k, |y_1| for y_norm and
+    coef_sum + sum_u |c_u| for coef_sum.  Below, for such a signal, y is
+    y_1, k counts the selected and the cancelled atoms, and the c_u count
+    among the coefficients.
+
     n is the column length, M = `max_norm` bounds every column norm, and
     with y_norm = |y| and coef_sum = sum_s |coef_s|, W = |y| + M coef_sum
     gives |y|^T |a_j| + sum_s |coef_s| |a_s|^T |a_j| <= M W.  With unit
@@ -287,23 +358,39 @@ def _rounding_bound(n: int, dtype, max_norm: float) -> Callable[[int, float, flo
       gamma_(n+3) |y|^T |a_j|;
     - a Gram entry g_sj, the same product of two stored columns, is within
       gamma_(n+2) |a_s|^T |a_j|; rounding coef_s to `dtype` adds u, so the
-      term conj(coef_s) g_sj is within gamma_(n+3) |coef_s| |a_s|^T |a_j|;
-    - the (k+1)-term combination beta0_j - sum_s conj(coef_s) g_sj adds
-      gamma_(k+3) of the terms' magnitudes, and `abs` 2u of its result, so
-      c_j is within gamma_(n+k+8)(u) M W of |a_j^H (y - A_S coef)|;
-    - the stored residual r, y - A_S coef computed in complex128, is within
-      gamma_(k+3)(v) (|y| + sum_s |coef_s| |a_s|) of it elementwise, which
-      moves |a_j^H r| by at most gamma_(k+3)(v) M W, and the re-score, an
-      n-term dot product and `abs` in complex128, is within
-      gamma_(n+4)(v) M |r| with |r| <= (1 + gamma_(k+3)(v)) W: together
-      gamma_(n+k+7)(v) M W.
+      term conj(coef_s) g_sj is within gamma_(n+3) |coef_s| |a_s|^T |a_j|,
+      and so is conj(c_u) g_uj, c_u computed in complex128;
+    - the (k+1)-term combination beta0_j - sum_s conj(coef_s) g_sj, in any
+      grouping (for a cancelled signal, the c_u terms into beta0 first),
+      adds gamma_(k+3) of the terms' magnitudes, and `abs` 2u of its
+      result, so c_j is within gamma_(n+k+8)(u) M W of
+      |a_j^H (y - sum_s coef_s a_s)|;
+    - ideal SIC subtracts from y, in place in complex128, gain times the
+      column times the amplitude, with c_u = gain amplitude: each term is
+      within gamma_5(v) |c_u| |a_u| of -c_u a_u elementwise (v for the
+      real product, sqrt(2) gamma_2(v) for the complex one, v for
+      rounding c_u) and m additions add gamma_m(v) of the partial sums, so
+      the cancelled frame x is within gamma_(m+5)(v) (|y| + sum_u |c_u|
+      |a_u|) of y - sum_u c_u a_u; with nothing cancelled x is y;
+    - the stored residual r, x - A_S coef over the k - m selected atoms
+      computed in complex128, is within gamma_(k-m+3)(v) (|x| + sum_s
+      |coef_s| |a_s|) of it elementwise, so within gamma_(k+8)(v)
+      (|y| + sum_s |coef_s| |a_s|) of y - sum_s coef_s a_s over all k
+      atoms, which moves |a_j^H r| by at most gamma_(k+8)(v) M W, and the
+      re-score, an n-term dot product and `abs` in complex128, is within
+      gamma_(n+4)(v) M |r| with |r| <= (1 + gamma_(k+8)(v)) W: together
+      gamma_(n+k+12)(v) M W.
 
     Four more units in each term cover computing M, |y|, coef_sum and the
     bound itself in double precision (for n below 10^7), hence
-    gamma_(n+k+12).  The floor covers underflow: fewer than
-    8 (n + k + 12)^2 products can underflow, each by at most `dtype`'s
+    gamma_(n+k+16).  The floor covers underflow: fewer than
+    8 (n + k + 16)^2 products can underflow, each by at most `dtype`'s
     smallest subnormal, and none is scaled by more than
-    (1 + M)^2 (1 + coef_sum) on its way into c_j or s_j.
+    (1 + M)^2 (1 + coef_sum) on its way into c_j or s_j.  SIC's column
+    times amplitude can underflow by 2^-1075 and is then scaled by the
+    gain, |c_u| / amplitude: the floor covers that for a complex64
+    dictionary and any gain below 10^270, and otherwise for a gain of at
+    most 1 + coef_sum.
     """
     finfo = np.finfo(dtype)
     u = float(finfo.eps) / 2.0
@@ -313,7 +400,7 @@ def _rounding_bound(n: int, dtype, max_norm: float) -> Callable[[int, float, flo
         return m * unit / (1.0 - m * unit)
 
     def bound(k: int, y_norm: float, coef_sum: float) -> float:
-        m = n + k + 12
+        m = n + k + 16
         spread = (gamma(m, u) + gamma(m, 2.0**-53)) * max_norm
         floor = 8.0 * m * m * (1.0 + max_norm) ** 2 * (1.0 + coef_sum) * tiny
         return spread * (y_norm + max_norm * coef_sum) + floor
@@ -328,7 +415,14 @@ class _CholeskyOmp:
     an entry to z, with no triangular solve.  R's rounding error grows with
     the condition number of A_s, which `LS_PIVOT_TOL` bounds."""
 
-    def __init__(self, y: np.ndarray, a: np.ndarray, max_iters: int, residual_threshold: float):
+    def __init__(
+        self,
+        y: np.ndarray,
+        a: np.ndarray,
+        max_iters: int,
+        residual_threshold: float,
+        history: SicHistory | None = None,
+    ):
         self.a = a
         self.y = np.array(y, dtype=complex)        # contiguous copy of the column
         e_y = energy(self.y)
@@ -343,15 +437,49 @@ class _CholeskyOmp:
         self.coef = np.zeros(0, dtype=complex)
         self.residual = self.y
         self.res_energy = e_y
-        self.y_norm = np.sqrt(e_y)
         self.running = self.max_iters > 0 and e_y > self.stop_energy
         self.beta0: np.ndarray | None = None        # conj(y)^T A, set by omp_detect_many
         self.corr: np.ndarray | None = None         # the latest correlations, for `wanted`
+        # With a history that has its beta0, y is the history's first frame
+        # y_1 less its cancelled atoms: beta0 comes from their Gram rows
+        # (`correlations`), and the bounds read |y_1|, the m cancelled atoms
+        # and the summed magnitude of their coefficients.
+        self.history = history
+        self.derived = history is not None and history.beta0 is not None
+        self.y_norm = history.y_norm if self.derived else np.sqrt(e_y)
+        self.cancelled = len(history.atoms) if self.derived else 0
+        self.cancelled_sum = 0.0
+        if self.derived:
+            self.cancelled_sum = float(np.abs(np.asarray(history.coefs, dtype=complex)).sum())
+
+    def start(self, beta0: np.ndarray) -> None:
+        """Take beta0 from the call's beta0 pass.  A history keeps it, with
+        |y|, as its first frame's, and forgets any cancellation before it."""
+        self.beta0 = beta0
+        if self.history is not None:
+            self.history.beta0, self.history.y_norm = beta0, self.y_norm
+            self.history.atoms, self.history.coefs = [], []
+
+    def needs(self, slot: np.ndarray) -> list[int]:
+        """The atoms without a Gram row in the store (`slot` < 0) that this
+        signal needs before its next step: its cancelled atoms while its
+        beta0 is unknown, then its latest pick."""
+        if self.beta0 is None:
+            return [j for j in self.history.atoms if slot[j] < 0]
+        if self.selected and slot[self.selected[-1]] < 0:
+            return [self.selected[-1]]
+        return []
 
     def correlations(self, gram: np.ndarray, slot: np.ndarray) -> np.ndarray:
         """|conj(r)^T A| = |beta0 - conj(coef) G_S| in the dictionary's
         precision, with G_S = gram[slot[selected]] read from the Gram store.
-        Called before each step."""
+        Called before each step; the first call of a signal with no beta0
+        takes it as the history's beta0 - conj(c) G_C over its cancelled
+        atoms C, whose rows `needs` saw in the store."""
+        if self.beta0 is None:
+            h = self.history
+            coefs = np.asarray(h.coefs, dtype=complex).conj().astype(h.beta0.dtype)
+            self.beta0 = h.beta0 - coefs @ gram[slot[h.atoms]]
         beta = self.beta0
         if self.selected:
             beta = beta - self.coef.conj().astype(beta.dtype) @ gram[slot[self.selected]]
@@ -359,15 +487,18 @@ class _CholeskyOmp:
         return self.corr
 
     def wanted(self, slot: np.ndarray) -> list[int]:
-        """The latest pick, whose Gram row is missing, then the atoms of the
+        """The atoms `needs`, then, once beta0 is known, the atoms of the
         `FETCH_AHEAD` largest latest correlations that are neither selected
         nor in the store (`slot` >= 0)."""
+        need = self.needs(slot)
+        if self.beta0 is None:
+            return need
         corr = self.corr
         corr[self.selected] = -np.inf
         corr[slot >= 0] = -np.inf
         width = min(FETCH_AHEAD, len(corr))
         ahead = np.argpartition(corr, len(corr) - width)[len(corr) - width :]
-        return [self.selected[-1], *ahead[corr[ahead] > -np.inf].tolist()]
+        return [*need, *ahead[corr[ahead] > -np.inf].tolist()]
 
     def _pick(self, corr: np.ndarray, bound: float) -> int:
         """The unselected column with the largest complex128 correlation,

@@ -39,7 +39,9 @@ from .channel import ChannelModel, energy
 from .codec import CodecModel, CodecSpec, SlottedAlohaConfig, check_message, decode, encode
 from .detection import (
     DetectionResult,
+    SicHistory,
     energy_detect,
+    gram_store,
     ls_channel_estimate,
     omp_detect,  # noqa: F401  perfbench/spans.py wraps it under this name
     omp_detect_many,
@@ -343,15 +345,20 @@ def twostep_receive_many(
     """`twostep_receive` on every frame of `ys`, each with its own genie record.
 
     The frames' SIC rounds advance together: each round makes one
-    `omp_detect_many` call over the frames still decoding, so the preamble
-    dictionary is read once per OMP iteration for the whole batch.  Each
-    frame's outcome is the one `twostep_receive` gives it alone.  Each frame
-    is copied as it is taken from `ys`, so the caller's frames are not
-    modified, and a generator lets them be freed one by one.
+    `omp_detect_many` call over the frames still decoding, so a pass over
+    the preamble dictionary serves the whole batch.  Every call of a receive
+    uses one Gram store (`gram_store`), and each frame keeps a `SicHistory`
+    of the preambles it cancelled, so only the first round makes a beta0
+    pass: a later round takes its beta0 from the cancelled preambles' Gram
+    rows, mostly fetched already.  Each frame's outcome is the one
+    `twostep_receive` gives it alone.  Each frame is copied as it is taken
+    from `ys`, so the caller's frames are not modified, and a generator
+    lets them be freed one by one.
     """
     # OMP's support and its relative stopping rule do not depend on a common
     # column scale, so the unit-power dictionary serves every power.
     pre_dict, _ = build_dictionaries(cfg)
+    store = gram_store(pre_dict)
     pre_len = cfg.preamble_region_len
     frames = [_SicFrame(y, genie) for y, genie in zip(ys, genies, strict=True)]
     running = frames
@@ -372,6 +379,8 @@ def twostep_receive_many(
             pre_dict,
             max_iters=max_iters,
             residual_threshold=thresholds,
+            store=store,
+            histories=[f.history for f in detecting],
         )
         running = []
         for f, det in zip(detecting, dets):
@@ -395,6 +404,7 @@ class _SicFrame:
         self.detected: set[int] = set()
         self.round_decodes: list[int] = []
         self.rounds = 0
+        self.history = SicHistory()             # for OMP, over the preamble region
 
     def decode_round(self, cfg: TwoStepConfig, det: DetectionResult) -> list[UserTx]:
         """One decode attempt per detected preamble; returns the users decoded."""
@@ -438,10 +448,12 @@ class _SicFrame:
         return newly
 
     def cancel(self, newly: list[UserTx]) -> None:
-        """Ideal SIC: subtract the users' exact contributions from the frame."""
+        """Ideal SIC: subtract the users' exact contributions from the frame.
+        A user's preamble leaves the preamble region times gain * amplitude."""
         for u in newly:
             self.cancelled.add(id(u))
             self.genie.add_user(self.y, u, -u.gain)
+            self.history.cancel(u.preamble_index, u.gain * u.preamble_amplitude)
 
     def outcome(self) -> DecodeOutcome:
         return DecodeOutcome(

@@ -69,8 +69,9 @@ class Dictionary:
         `detection.omp_detect_many` fetches rows, `slot`, with atom j's row
         at slot[j] once slot[j] >= 0, and the lock a call holds while it
         reads or fills the store, so calls in several threads take turns.
-        A call over a dictionary whose array exceeds `detection.GRAM_BYTES`
-        fills a fresh store instead.
+        `detection.gram_store` decides which store a receive uses: this
+        one if the whole Gram matrix fits in `detection.GRAM_BYTES`, else
+        a fresh one, this property of a new Dictionary on the same columns.
         Under Linux's heuristic overcommit (`vm.overcommit_memory` 0) only
         the rows written are resident; rows at their atom index would each
         commit a huge page, which numpy advises for large arrays."""

@@ -19,6 +19,7 @@ from umacsim.detection import (
     GRAM_BYTES,
     SPLIT_BYTES,
     DetectionError,
+    SicHistory,
     energy_detect,
     ls_channel_estimate,
     omp_detect,
@@ -610,6 +611,111 @@ class TestGramStore:
                     assert list(pool.map(detect, signals, timeout=60)) == serial
         finally:
             sys.setswitchinterval(interval)
+
+
+@st.composite
+def sic_problems(draw):
+    """(complex64 dictionary, signals as columns, each signal's atoms with
+    their (gain, amplitude), max_iters, thresholds, SIC rounds, a seed for
+    what to cancel).
+
+    Each signal is a sum of 3 to 8 atoms, each column times an amplitude
+    times a gain in complex128, as a frame holds its users' preambles, plus
+    noise.  Some columns have a near-duplicate (1e-7 to 1e-5 apart), so the
+    band re-check decides some picks.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = draw(st.integers(16, 64))
+    base = gaussian_dict(rows, draw(st.integers(4 * FETCH_AHEAD, 20 * FETCH_AHEAD)), rng)
+    paired = rng.choice(base.shape[1], draw(st.integers(1, rows)), replace=False)
+    eps = 10.0 ** draw(st.floats(-7.0, -5.0))
+    near = base[:, paired] + eps * gaussian_dict(rows, len(paired), rng)
+    a = np.concatenate([base, near], axis=1).astype(np.complex64, order="F")
+    count = draw(st.integers(1, 4))
+    ys = np.empty((rows, count), dtype=complex)
+    users = []
+    for b in range(count):
+        k = int(rng.integers(3, 9))
+        support = rng.choice(base.shape[1], k, replace=False)
+        support[: min(k, len(paired)) // 2] = paired[: min(k, len(paired)) // 2]
+        gains = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) / math.sqrt(2.0)
+        amps = np.sqrt(rng.uniform(0.5, 20.0, k))
+        noise_std = draw(st.floats(0.001, 0.1))
+        ys[:, b] = noise_std * complex_noise(rows, 1.0, rng)
+        for j, g, amp in zip(support, gains, amps):
+            ys[:, b] += complex(g) * (a[:, j].astype(complex) * float(amp))
+        users.append({int(j): (complex(g), float(amp)) for j, g, amp in zip(support, gains, amps)})
+    max_iters = [draw(st.integers(1, rows - 2)) for _ in range(count)]
+    stops = [draw(thresholds) for _ in range(count)]
+    return a, ys, users, max_iters, stops, draw(st.integers(3, 5)), int(rng.integers(2**32))
+
+
+class TestSicHistory:
+    @omp_settings
+    @given(sic_problems())
+    def test_gram_beta0_matches_a_fresh_call(self, problem):
+        """Over three to five SIC rounds on one store, each round cancelling
+        known multiples of one or two selected atoms from the signals in
+        complex128, as `_SicFrame.cancel` does (an atom may be cancelled
+        twice, and the last pick of a signal that stopped lacks a row),
+        each round's results, with beta0 taken from the first round's and
+        the cancelled atoms' Gram rows, are those of a fresh call that
+        makes its own beta0 pass, to the byte.  At `GRAM_BYTES` 0 the store
+        is the receive's own."""
+        a, ys, users, max_iters, stops, rounds, seed = problem
+        rng = np.random.default_rng(seed)
+        d = Dictionary(columns=a)
+        ys = ys.copy()
+        histories = [SicHistory() for _ in range(ys.shape[1])]
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(detection, "GRAM_BYTES", 0)
+            store = detection.gram_store(d)
+            assert "gram" not in vars(d)
+            for _ in range(rounds):
+                derived = omp_detect_many(
+                    ys, d, max_iters, stops, store=store, histories=histories
+                )
+                fresh = omp_detect_many(ys, d, max_iters, stops)
+                assert [
+                    (r.indices, r.coefficients.tobytes(), r.residual_energy) for r in derived
+                ] == [(r.indices, r.coefficients.tobytes(), r.residual_energy) for r in fresh]
+                for b, (res, history) in enumerate(zip(derived, histories)):
+                    if not res.indices:
+                        continue
+                    for j in rng.choice(res.indices, min(len(res.indices), 2), replace=False):
+                        stray = (complex(*rng.standard_normal(2)), 2.0)   # not in the signal
+                        gain, amp = users[b].get(int(j), stray)
+                        ys[:, b] += -gain * (a[:, j].astype(complex) * amp)
+                        history.cancel(int(j), gain * amp)
+        assert any(h.atoms for h in histories)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale, rejected", [(4.2e37, False), (4.3e37, True)])
+    def test_cancellation_sum_reaches_the_ceiling(self, scale, rejected):
+        """`_range_check`'s ceiling is a quarter of complex64's largest
+        value, 8.5e37, for unit columns.  A first frame of norm `scale`
+        passes it, and so does the frame left after `scale` times its atom
+        is cancelled, of norm 1e30.  A round that takes beta0 from the
+        first frame's and the cancelled row must bound |y_1| + |c|:
+        8.4e37 passes, with a fresh call's bytes; 8.6e37 is rejected
+        before numpy meets an overflow."""
+        a = gaussian_dict(40, 100, 0).astype(np.complex64, order="F")
+        d = Dictionary(columns=a)
+        first = a[:, 3].astype(complex) * scale
+        y = first + a[:, 7].astype(complex) * 1e30
+        history = SicHistory()
+        assert omp_detect_many(y[:, None], d, 1, histories=[history])[0].indices == [3]
+        y -= first
+        history.cancel(3, scale)
+        fresh = detect_bytes(y[:, None], d, 5)
+        assert fresh[0][0][0] == 7
+        if rejected:
+            with pytest.raises(DetectionError, match="correlations overflow"):
+                omp_detect_many(y[:, None], d, 5, histories=[history])
+        else:
+            derived = omp_detect_many(y[:, None], d, 5, histories=[history])
+            assert [(r.indices, r.coefficients.tobytes(), r.residual_energy)
+                    for r in derived] == fresh
 
 
 def split_problem():

@@ -13,12 +13,18 @@ import hashlib
 import numpy as np
 import pytest
 
-from umacsim import montecarlo
+from umacsim import detection, montecarlo, protocols
+from umacsim.channel import ChannelModel
 from umacsim.cli import build_experiment, load_preset, preset_names
 from umacsim.codec import CodecModel, CodecSpec, SlottedAlohaConfig
-from umacsim.montecarlo import SlottedAlohaExperiment, estimate_pupe
-from umacsim.protocols import ReceiverMode, build_dictionaries
-from umacsim.sequences import DictionaryKind, _gaussian_columns, _zadoff_chu_columns
+from umacsim.montecarlo import SlottedAlohaExperiment, TwoStepExperiment, estimate_pupe
+from umacsim.protocols import EnergyPolicy, ReceiverMode, TwoStepConfig, build_dictionaries
+from umacsim.sequences import (
+    DictionaryKind,
+    PreambleSpec,
+    _gaussian_columns,
+    _zadoff_chu_columns,
+)
 
 SEED = 7
 
@@ -64,6 +70,32 @@ GOLDEN_TWOSTEP = {
     "twostep_rayleigh_1024": "c2484f62f7fd75263e9a9ee66b832e90b472d812adeb49ed9a61e319c7ccc6a2",
     "sbidma_rayleigh_1024": "b83aec7003c3a0e4c65ad765aff9d0e32d6692cd7433455cf98296e8f45a4a66",
 }
+
+# A reduced SB-IDMA config whose complex64 Gram matrix (2048^2 entries,
+# 32 MiB) exceeds `detection.GRAM_BYTES`, so its dictionary keeps no Gram
+# store and each receive fills one of its own: 2048 Gaussian preambles of
+# length 400 at 1/12 power, 2-of-40 occasion patterns, Rayleigh fading,
+# TIN-SIC.  -> ((ka, snr_db, trials), (failures, clashes), sha256 of every
+# OMP result's indices and coefficient bytes).  Residual energies are left
+# out: with two BLAS threads they may differ in their last bit.  Recorded
+# at 68d0b20, while each SIC round made its own beta0 pass over a fresh
+# store.
+LARGE_GRAM_SBIDMA = TwoStepConfig(
+    preamble=PreambleSpec(
+        size=2048, base_length=400, kind=DictionaryKind.GAUSSIAN, power_scale=1 / 12
+    ),
+    n_occasions=40,
+    codec=CodecSpec(codeword_bits=500, payload_bits=100, offset_db=1.6),
+    pilot_len=50,
+    channel_model=ChannelModel.RAYLEIGH,
+    rho=2,
+    energy_policy=EnergyPolicy.PER_COPY_FULL,
+)
+GOLDEN_LARGE_GRAM_OMP = (
+    (30, 2.0, 20),
+    (159, 0),
+    "a802523464c05853c2f0c1f82005755aac9e9853dbc2b6903d95c4c63fd5a980",
+)
 
 # preset -> sha256 of the complex128 (preamble, pilot) column values, as
 # recorded at 6f4eef0.  Preamble columns are stored rounded to complex64, so
@@ -144,6 +176,27 @@ def test_twostep_outcomes(monkeypatch, preset):
     assert len(outcomes) == trials
     assert (est.failures, est.clashes) == expected
     assert hashlib.sha256(repr(outcomes).encode()).hexdigest() == GOLDEN_TWOSTEP[preset]
+
+
+def test_large_gram_omp_results(monkeypatch):
+    monkeypatch.delenv("UMAC_BENCH_THREADS", raising=False)
+    pre, _ = build_dictionaries(LARGE_GRAM_SBIDMA)
+    assert pre.columns.shape[1] ** 2 * pre.columns.itemsize > detection.GRAM_BYTES
+    digest = hashlib.sha256()
+    detect = protocols.omp_detect_many
+
+    def recording(*args, **kwargs):
+        results = detect(*args, **kwargs)
+        for r in results:
+            digest.update(np.asarray(r.indices, dtype=np.int64).tobytes())
+            digest.update(r.coefficients.tobytes())
+        return results
+
+    monkeypatch.setattr(protocols, "omp_detect_many", recording)
+    (ka, snr_db, trials), counts, expected = GOLDEN_LARGE_GRAM_OMP
+    experiment = TwoStepExperiment(config=LARGE_GRAM_SBIDMA, receiver=ReceiverMode.TIN_SIC)
+    est = estimate_pupe(experiment, ka, snr_db, trials, SEED)
+    assert ((est.failures, est.clashes), digest.hexdigest()) == (counts, expected)
 
 
 def sha256(columns):

@@ -4,6 +4,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
+from umacsim import detection, protocols
 from umacsim.channel import ChannelModel, complex_noise, energy
 from umacsim.codec import (
     CodecError,
@@ -510,3 +511,67 @@ class TestSlottedAlohaReceive:
         est = estimate_pupe(exp, 10, 40.0, 10_000, seed=3)
         floor = aloha_collision_probability(10, 64)
         assert abs(est.pupe - floor) / floor < 0.10
+
+
+class TestSicPasses:
+    def test_later_rounds_make_no_beta0_pass(self, monkeypatch):
+        """A TIN-SIC receive at `GRAM_BYTES` 0 fills one Gram store of its
+        own for all of its rounds.  Only its first round makes a beta0
+        pass; a later round takes beta0 from the cancelled preambles' Gram
+        rows, and fetches a missing one (the last pick of a frame that
+        stopped right after it) in a pass, once: no row is fetched twice.
+        The outcomes are those with the dictionary's own store."""
+        cfg = fading_cfg(preamble=PreambleSpec(size=1024, base_length=139, repetitions=2))
+        power = 10 ** 1.5
+        rng = np.random.default_rng(25)
+        frames, records = [], []
+        for ka in (6, 12, 3, 9):
+            users = []
+            for _ in range(ka):
+                gain = complex((rng.standard_normal() + 1j * rng.standard_normal()) / math.sqrt(2))
+                users.append(encode_user(cfg, draw_message(rng, 100), rng, power=power, gain=gain))
+            records.append(TransmissionRecord(cfg, power, users))
+            frames.append(transmit(cfg, users, 1.0, rng))
+        expected = twostep_receive_many(frames, cfg, ReceiverMode.TIN_SIC, records)
+
+        stores, calls, missing = [], [], []
+        make_store = protocols.gram_store
+
+        def recorded_store(dictionary):
+            stores.append(make_store(dictionary))
+            return stores[-1]
+
+        whole = detection._pass
+
+        def counted(rows, a, out):
+            kind = "gram" if np.may_share_memory(out, stores[-1][0]) else "beta0"
+            calls[-1].append((kind, rows.shape[0]))
+            return whole(rows, a, out)
+
+        detect = protocols.omp_detect_many
+
+        def recorded(*args, histories, **kwargs):
+            slot = stores[-1][1]
+            missing.extend(
+                j for h in histories if h.beta0 is not None for j in h.atoms if slot[j] < 0
+            )
+            calls.append([])
+            return detect(*args, histories=histories, **kwargs)
+
+        monkeypatch.setattr(detection, "GRAM_BYTES", 0)
+        monkeypatch.setattr(protocols, "gram_store", recorded_store)
+        monkeypatch.setattr(detection, "_pass", counted)
+        monkeypatch.setattr(protocols, "omp_detect_many", recorded)
+        outcomes = twostep_receive_many(frames, cfg, ReceiverMode.TIN_SIC, records)
+        assert outcomes == expected
+        assert len(stores) == 1 and len(calls) >= 3
+        assert calls[0][0] == ("beta0", len(frames))
+        assert all(kind == "gram" for call in calls for kind, _ in call[1:])
+        assert all(kind == "gram" for call in calls[1:] for kind, _ in call)
+        assert any(call == [] for call in calls[1:])
+        slot = stores[0][1]
+        # A frame that does not run in its round (its energy meets its
+        # threshold) needs no beta0, so its missing rows stay missing.
+        assert (slot[missing] >= 0).any()
+        fetched = sum(rows for call in calls for kind, rows in call if kind == "gram")
+        assert fetched == (slot >= 0).sum()
