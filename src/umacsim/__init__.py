@@ -9,7 +9,7 @@ Building blocks:
 - ``sequences``: Zadoff-Chu and Gaussian preamble / pilot dictionaries.
 - ``codec``: pluggable inner-code models and the slotted-Aloha frame geometry.
 - ``detection``: OMP preamble detection, energy detection, LS channel
-  estimation, interference subtraction.
+  estimation.
 - ``protocols``: slotted Aloha, two-step random access (message A), and
   the SB-IDMA repetition variant, with TIN / TIN-SIC receivers.
 - ``montecarlo``: PUPE estimation and minimum-SNR search.

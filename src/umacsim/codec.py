@@ -120,12 +120,14 @@ def _ml_codebook_unit(spec: CodecSpec) -> np.ndarray:
 _QPSK = np.exp(1j * np.pi * (2 * np.arange(4) + 1) / 4)
 
 
+@lru_cache(maxsize=4096)        # every 12-bit message: 16 MB of 500-bit codewords
 def _oracle_codeword_unit(spec: CodecSpec, message: int) -> np.ndarray:
+    """Unit-power QPSK codeword of `message`, read-only: `encode` scales a copy."""
     # entropy as a list of ints supports arbitrary-size messages (k up to 100).
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=[0, message])
-    )
-    return _QPSK[rng.integers(0, 4, size=spec.complex_uses)]
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=[0, message]))
+    word = _QPSK[rng.integers(0, 4, size=spec.complex_uses)]
+    word.setflags(write=False)
+    return word
 
 
 def encode(spec: CodecSpec, message: int, power: float = 1.0) -> np.ndarray:

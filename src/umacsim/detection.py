@@ -36,10 +36,10 @@ LS_PIVOT_TOL = 1e-12
 FETCH_AHEAD = 14
 
 # A dictionary whose whole Gram matrix, in the correlation dtype, takes at
-# most this many bytes keeps its Gram store (`Dictionary.gram`) for its
+# most this many bytes keeps its Gram store (`gram_store`) for its
 # lifetime, so later receives fetch only the rows no receive has fetched
 # before.  twostep_rayleigh_1024's takes 8 MiB; sbidma_tuned's would take
-# 512 MiB, so each of its receives fills a fresh store (`gram_store`).
+# 512 MiB, so each of its receives fills a fresh store.
 GRAM_BYTES = 1 << 24
 
 # A pass over a dictionary of at least this many bytes is split into one
@@ -84,15 +84,27 @@ class SicHistory:
 
 def gram_store(dictionary) -> tuple[np.ndarray, np.ndarray, threading.Lock]:
     """The Gram store a receive passes to each of its `omp_detect_many`
-    calls: the dictionary's own (`Dictionary.gram`), kept for its lifetime,
-    if its whole Gram matrix fits in `GRAM_BYTES`, else a fresh one that
-    lives as long as the caller holds it."""
+    calls: (rows, slot, lock), with atom j's row conj(a_j)^T A at
+    rows[slot[j]] once slot[j] >= 0, and the lock a call holds while it
+    reads or fills the store, so calls in several threads take turns.
+    `rows` is uninitialised, (size, size) in the correlation dtype
+    (complex64 or complex128, chosen here alone), and filled from row 0 in
+    fetch order: under Linux's heuristic overcommit only the rows written
+    are resident, where rows at their atom index would each commit a huge
+    page, which numpy advises for large arrays.  If `rows` fits in
+    `GRAM_BYTES`, the store is the dictionary's own, kept in its instance
+    dict for its lifetime; else it is a fresh one."""
     d = _dictionary(dictionary)
     size = d.columns.shape[1]
-    itemsize = np.dtype(np.result_type(d.columns.dtype, np.complex64)).itemsize
-    if size * size * itemsize <= GRAM_BYTES:
-        return d.gram
-    return Dictionary(columns=d.columns).gram
+    work = np.result_type(d.columns.dtype, np.complex64)
+
+    def fresh():
+        return np.empty((size, size), work), np.full(size, -1), threading.Lock()
+
+    if size * size * work.itemsize > GRAM_BYTES:
+        return fresh()
+    # setdefault is atomic, so threads racing on a new dictionary keep one store.
+    return vars(d).get("gram") or vars(d).setdefault("gram", fresh())
 
 
 def _dictionary(dictionary) -> Dictionary:
@@ -136,7 +148,7 @@ def omp_detect_many(
     max_iters,
     residual_threshold=0.0,
     store: tuple[np.ndarray, np.ndarray, threading.Lock] | None = None,
-    histories: list[SicHistory | None] | None = None,
+    histories: list[SicHistory] | None = None,
 ) -> list[DetectionResult]:
     """`omp_detect` on every column of `ys` (shape (length, B)), in lockstep.
 
@@ -155,27 +167,24 @@ def omp_detect_many(
     signal, the rows of its `FETCH_AHEAD` largest correlations that have
     none yet, its likeliest next picks.  A pass costs little more per row
     when it is wide, so a call makes a few wide passes instead of one
-    narrow pass per iteration.  The rows go into a Gram store in the order
-    they are fetched, and a signal reads its G_S from the store.  `store`
-    is the one `gram_store` gives for the dictionary (the default): its
-    own, serving every later call, if its whole Gram matrix fits in
-    `GRAM_BYTES` (`twostep_rayleigh_1024`'s does), else a fresh one, which
-    a caller passes to each call of one receive and then drops.  Calls in
-    several threads on one store take turns, each holding the store's lock
-    until it returns.  Over a dictionary of at least `SPLIT_BYTES`
-    (`sbidma_tuned`'s, not `twostep_rayleigh_1024`'s), both kinds of pass
-    are split into one column block per CPU, the blocks multiplied
-    concurrently (`_pass`), because umacsim runs BLAS on one thread.
+    narrow pass per iteration.  The rows go into `store`, one `gram_store`
+    gave for the dictionary (by default, one it gives now), in the order
+    they are fetched, and a signal reads its G_S from it.  A call holds the
+    store's lock until it returns.  Over a dictionary of at least
+    `SPLIT_BYTES` (`sbidma_tuned`'s, not `twostep_rayleigh_1024`'s), both
+    kinds of pass are split into one column block per CPU, the blocks
+    multiplied concurrently (`_pass`), because umacsim runs BLAS on one
+    thread.
 
-    `histories`, one `SicHistory` or None per signal, carries ideal SIC
-    across calls.  A signal whose history has no beta0 yet joins the beta0
-    pass, and the history keeps its beta0 and norm.  A signal whose history
-    has one is that first frame with the history's atoms cancelled, and
-    makes no pass: its beta0 is the history's less sum_u conj(c_u) g_u,
-    from the store's rows of the cancelled atoms.  Those rows are mostly
-    there from the pick that detected the atom; a missing one (the last
-    pick of a signal that stopped right after it) is fetched in the call's
-    first pass, for which the signal waits.
+    `histories`, one `SicHistory` per signal (a fresh one each by default),
+    carries ideal SIC across calls.  A signal whose history has no beta0
+    yet joins the beta0 pass, and the history keeps its beta0 and norm.  A
+    signal whose history has one is that first frame with the history's
+    atoms cancelled, and makes no pass: its beta0 is the history's less
+    sum_u conj(c_u) g_u, from the store's rows of the cancelled atoms.
+    Those rows are mostly there from the pick that detected the atom; a
+    missing one (the last pick of a signal that stopped right after it) is
+    fetched in the call's first pass, for which the signal waits.
 
     The correlations run in the dictionary's own precision: complex64 for
     the preamble dictionaries, whose contiguous columns make the passes
@@ -198,7 +207,7 @@ def omp_detect_many(
     entry, a non-finite threshold, a list of `max_iters`, thresholds or
     histories whose length is not the number of signals, a signal whose
     energy overflows float64, or one whose correlations could overflow the
-    dictionary's precision (`_range_check`), before any value overflows.
+    dictionary's precision (`_rounding_bound`), before any value overflows.
     """
     d = _dictionary(dictionary)
     a = d.columns
@@ -219,7 +228,7 @@ def omp_detect_many(
     if not np.isfinite(thresholds).all():
         raise DetectionError(f"residual_threshold must be finite, got {residual_threshold}")
     if histories is None:
-        histories = [None] * count
+        histories = [SicHistory() for _ in range(count)]
     elif len(histories) != count:
         raise DetectionError(f"histories needs {count} entries, got {len(histories)}")
     states = [
@@ -229,12 +238,12 @@ def omp_detect_many(
     running = [s for s in states if s.running]
     if not running:
         return [s.result() for s in states]
-    work = np.result_type(a.dtype, np.complex64)     # complex64 or complex128
+    gram, slot, lock = gram_store(d) if store is None else store
+    work = gram.dtype                                # complex64 or complex128
     bound = _rounding_bound(n, work, d.max_column_norm)
-    check = _range_check(work, d.max_column_norm)
     for state in running:
-        check(state.y_norm, state.cancelled_sum)
-    fresh = [s for s in running if not s.derived]
+        state.delta(bound)                           # an overflow raises before any pass
+    fresh = [s for s in running if s.history.beta0 is None]
     if fresh:
         conj_ys = np.empty((len(fresh), n), dtype=work)
         for row, state in zip(conj_ys, fresh):
@@ -243,8 +252,6 @@ def omp_detect_many(
         betas = _pass(conj_ys, a, np.empty((len(fresh), a.shape[1]), work))
         for state, beta0 in zip(fresh, betas):
             state.start(beta0)
-    # Row slot[j] of `gram` is conj(a_j)^T A once slot[j] >= 0.
-    gram, slot, lock = gram_store(d) if store is None else store
     with lock:
         while running:
             waiting = []
@@ -253,10 +260,7 @@ def omp_detect_many(
                     if state.needs(slot):
                         waiting.append(state)
                         break
-                    coef_sum = state.cancelled_sum + float(np.abs(state.coef).sum())
-                    check(state.y_norm, coef_sum)
-                    delta = bound(len(state.selected) + state.cancelled, state.y_norm, coef_sum)
-                    state.step(state.correlations(gram, slot), delta)
+                    state.step(state.correlations(gram, slot), state.delta(bound))
             if waiting:
                 # One pass for the rows every waiting signal wants, without
                 # repeats, written into the store's next free rows.
@@ -303,55 +307,40 @@ def _pass(rows: np.ndarray, a: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _range_check(dtype, max_norm: float) -> Callable[[float, float], None]:
-    """The function (y_norm, coef_sum) -> None that raises DetectionError
-    unless no value `omp_detect_many` computes in `dtype` for a signal of
-    norm y_norm, with coefficients of summed magnitude coef_sum, can
-    overflow.  It is checked before the beta0 pass and before each
-    correlation update, so an overflow is rejected before numpy meets it.
-    For a signal with a `SicHistory`, y is the history's first frame y_1
-    and the m cancelled atoms' c_u count as coefficients: `omp_detect_many`
-    checks |y_1| and sum_u |c_u| before any beta0 is taken from Gram rows,
-    and |y_1| and coef_sum + sum_u |c_u| before each update.
-
-    With M = `max_norm` and m = max(1, M), each such value is at most
-    m (m + y_norm + m coef_sum) in magnitude: an entry of y at most y_norm,
-    a coefficient c_u or coef_s at most coef_sum, a Gram entry at most M^2,
-    and every partial sum of beta0_j = conj(y_1)^T a_j, of
-    beta0_j - sum_u conj(c_u) g_uj and of that less conj(coef) G_S at most
-    y_norm M + coef_sum M^2 by Cauchy-Schwarz.  A quarter of `dtype`'s
-    largest value leaves room for their rounding (below 3x for n below
-    10^7, as in `_rounding_bound`).
-    """
-    m = max(1.0, max_norm)
-    ceiling = float(np.finfo(dtype).max) / 4.0
-
-    def check(y_norm: float, coef_sum: float) -> None:
-        if m * (m + y_norm + m * coef_sum) > ceiling:
-            raise DetectionError(f"correlations overflow the dictionary's {np.dtype(dtype)}")
-
-    return check
-
-
 def _rounding_bound(n: int, dtype, max_norm: float) -> Callable[[int, float, float], float]:
-    """The function (k, y_norm, coef_sum) -> delta with |c_j - s_j| <= delta
-    for every column j, where c_j = |beta_j| is a correlation
-    `omp_detect_many` computes in `dtype`, beta = beta0 - conj(coef) G_S
+    """The function (k, y_norm, coef_sum) -> delta that `omp_detect_many`
+    calls before its beta0 pass and before each correlation update.  It
+    raises DetectionError if a value computed in `dtype` could overflow,
+    so an overflow is rejected before numpy meets it.  Else it returns
+    delta with |c_j - s_j| <= delta for every column j, where c_j = |beta_j|
+    is a correlation computed in `dtype`, beta = beta0 - conj(coef) G_S
     with k atoms selected, and s_j its complex128 re-score against the
     stored residual in `_CholeskyOmp._pick`.
 
-    A signal with a `SicHistory` is its first frame y_1 with m atoms C
-    cancelled, y_1 - sum_u c_u a_u as ideal SIC computes it, and its beta0
-    is beta0_1 - conj(c) G_C, so its beta is a combination of k + m Gram
-    rows.  `omp_detect_many` passes k + m for k, |y_1| for y_norm and
-    coef_sum + sum_u |c_u| for coef_sum.  Below, for such a signal, y is
-    y_1, k counts the selected and the cancelled atoms, and the c_u count
-    among the coefficients.
+    A signal is its `SicHistory`'s first frame y_1 with m atoms C
+    cancelled (m may be 0), y_1 - sum_u c_u a_u as ideal SIC computes it,
+    and its beta0 is beta0_1 - conj(c) G_C, so its beta is a combination
+    of k + m Gram rows.  `omp_detect_many` passes k + m for k, |y_1| for
+    y_norm and coef_sum + sum_u |c_u| for coef_sum (before any beta0 is
+    taken, sum_u |c_u| alone).  Below, y is y_1, k counts the selected and
+    the cancelled atoms, and the c_u count among the coefficients.
 
     n is the column length, M = `max_norm` bounds every column norm, and
     with y_norm = |y| and coef_sum = sum_s |coef_s|, W = |y| + M coef_sum
-    gives |y|^T |a_j| + sum_s |coef_s| |a_s|^T |a_j| <= M W.  With unit
-    roundoff u of `dtype`, v = 2^-53 and gamma_m(u) = m u / (1 - m u):
+    gives, by Cauchy-Schwarz, |y|^T |a_j| + sum_s |coef_s| |a_s|^T |a_j|
+    <= M W.  Both rules rest on this bound.
+
+    Overflow: with M1 = max(1, M), every value computed in `dtype` is at
+    most M1 (M1 + y_norm + M1 coef_sum) in magnitude: an entry of y at most
+    y_norm, a coefficient c_u or coef_s at most coef_sum, a Gram entry at
+    most M^2, and every partial sum of beta0_j = conj(y_1)^T a_j, of
+    beta0_j - sum_u conj(c_u) g_uj and of that less conj(coef) G_S at most
+    M W.  The function raises above a quarter of `dtype`'s largest value,
+    which leaves room for their rounding (below 3x for n below 10^7, as
+    below).
+
+    Rounding: with unit roundoff u of `dtype`, v = 2^-53 and
+    gamma_m(u) = m u / (1 - m u):
 
     - rounding y to `dtype` adds u, and the n-term complex dot product
       behind beta0_j, in any summation order, gamma_(n+2): together
@@ -395,11 +384,15 @@ def _rounding_bound(n: int, dtype, max_norm: float) -> Callable[[int, float, flo
     finfo = np.finfo(dtype)
     u = float(finfo.eps) / 2.0
     tiny = float(finfo.smallest_subnormal)
+    ceiling = float(finfo.max) / 4.0
+    m1 = max(1.0, max_norm)
 
     def gamma(m: int, unit: float) -> float:
         return m * unit / (1.0 - m * unit)
 
     def bound(k: int, y_norm: float, coef_sum: float) -> float:
+        if m1 * (m1 + y_norm + m1 * coef_sum) > ceiling:
+            raise DetectionError(f"correlations overflow the dictionary's {np.dtype(dtype)}")
         m = n + k + 16
         spread = (gamma(m, u) + gamma(m, 2.0**-53)) * max_norm
         floor = 8.0 * m * m * (1.0 + max_norm) ** 2 * (1.0 + coef_sum) * tiny
@@ -421,7 +414,7 @@ class _CholeskyOmp:
         a: np.ndarray,
         max_iters: int,
         residual_threshold: float,
-        history: SicHistory | None = None,
+        history: SicHistory,
     ):
         self.a = a
         self.y = np.array(y, dtype=complex)        # contiguous copy of the column
@@ -440,25 +433,23 @@ class _CholeskyOmp:
         self.running = self.max_iters > 0 and e_y > self.stop_energy
         self.beta0: np.ndarray | None = None        # conj(y)^T A, set by omp_detect_many
         self.corr: np.ndarray | None = None         # the latest correlations, for `wanted`
-        # With a history that has its beta0, y is the history's first frame
-        # y_1 less its cancelled atoms: beta0 comes from their Gram rows
-        # (`correlations`), and the bounds read |y_1|, the m cancelled atoms
-        # and the summed magnitude of their coefficients.
+        # y is the history's first frame y_1 less its cancelled atoms, whose
+        # Gram rows give y's beta0 (`correlations`) once the history has y_1's.
+        # Until then y starts the history afresh and joins the beta0 pass.
         self.history = history
-        self.derived = history is not None and history.beta0 is not None
-        self.y_norm = history.y_norm if self.derived else np.sqrt(e_y)
-        self.cancelled = len(history.atoms) if self.derived else 0
-        self.cancelled_sum = 0.0
-        if self.derived:
-            self.cancelled_sum = float(np.abs(np.asarray(history.coefs, dtype=complex)).sum())
+        if history.beta0 is None:
+            history.y_norm, history.atoms, history.coefs = np.sqrt(e_y), [], []
+        self.cancelled_sum = float(np.abs(np.asarray(history.coefs, dtype=complex)).sum())
+
+    def delta(self, bound: Callable[[int, float, float], float]) -> float:
+        """`bound` (`_rounding_bound`) for this signal's next step, with its
+        selected and cancelled atoms: it raises if a value could overflow."""
+        coef_sum = self.cancelled_sum + float(np.abs(self.coef).sum())
+        return bound(len(self.selected) + len(self.history.atoms), self.history.y_norm, coef_sum)
 
     def start(self, beta0: np.ndarray) -> None:
-        """Take beta0 from the call's beta0 pass.  A history keeps it, with
-        |y|, as its first frame's, and forgets any cancellation before it."""
-        self.beta0 = beta0
-        if self.history is not None:
-            self.history.beta0, self.history.y_norm = beta0, self.y_norm
-            self.history.atoms, self.history.coefs = [], []
+        """Take beta0 from the call's beta0 pass; the history keeps it."""
+        self.beta0 = self.history.beta0 = beta0
 
     def needs(self, slot: np.ndarray) -> list[int]:
         """The atoms without a Gram row in the store (`slot` < 0) that this

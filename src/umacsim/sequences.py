@@ -13,7 +13,6 @@ complex64 dictionary, only chunk buffers of about _DRAW_BLOCK values.
 from __future__ import annotations
 
 import math
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -37,8 +36,9 @@ class Dictionary:
 
     `columns` has shape (length, size); column j is `columns[:, j]`.  Its
     dtype may be complex64: upcast a column (`astype(complex)`) before
-    arithmetic that must stay in double precision.  `max_column_norm` and
-    the Gram store `gram` are derived from the columns and kept with them.
+    arithmetic that must stay in double precision.  `max_column_norm` is
+    derived from the columns and kept with them, and so may be the Gram
+    store `detection.gram_store` builds.
     """
 
     columns: np.ndarray
@@ -60,24 +60,6 @@ class Dictionary:
             with np.errstate(invalid="ignore"):         # |inf|^2 meets inf * 0
                 best = np.maximum(best, np.linalg.norm(block, axis=0).max())
         return float(best)
-
-    @cached_property
-    def gram(self) -> tuple[np.ndarray, np.ndarray, threading.Lock]:
-        """A store for the Gram rows conj(a_j)^T A, kept as long as the
-        dictionary: an uninitialised (size, size) array in the correlation
-        dtype (complex64 or complex128), filled from row 0 in the order
-        `detection.omp_detect_many` fetches rows, `slot`, with atom j's row
-        at slot[j] once slot[j] >= 0, and the lock a call holds while it
-        reads or fills the store, so calls in several threads take turns.
-        `detection.gram_store` decides which store a receive uses: this
-        one if the whole Gram matrix fits in `detection.GRAM_BYTES`, else
-        a fresh one, this property of a new Dictionary on the same columns.
-        Under Linux's heuristic overcommit (`vm.overcommit_memory` 0) only
-        the rows written are resident; rows at their atom index would each
-        commit a huge page, which numpy advises for large arrays."""
-        size = self.columns.shape[1]
-        dtype = np.result_type(self.columns.dtype, np.complex64)
-        return np.empty((size, size), dtype), np.full(size, -1), threading.Lock()
 
 
 @dataclass(frozen=True)

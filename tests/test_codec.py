@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from umacsim import montecarlo
+from umacsim import codec, montecarlo
 from umacsim.bounds import min_snr_single_user
 from umacsim.channel import complex_noise
 from umacsim.cli import ebn0_db, load_preset
@@ -59,6 +59,27 @@ class TestEncode:
     def test_out_of_range_message(self):
         with pytest.raises(CodecError):
             encode(ML8, 256)
+
+    def test_cached_oracle_codeword_is_read_only_and_unchanged(self):
+        """The cached unit codeword is read-only and, byte for byte, the
+        QPSK sequence drawn from `SeedSequence(entropy=[0, message])`."""
+        message = 77
+        word = codec._oracle_codeword_unit(ORACLE, message)
+        assert codec._oracle_codeword_unit(ORACLE, message) is word
+        assert not word.flags.writeable
+        with pytest.raises(ValueError):
+            word[0] = 0.0
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=[0, message]))
+        qpsk = np.exp(1j * np.pi * (2 * np.arange(4) + 1) / 4)
+        assert word.tobytes() == qpsk[rng.integers(0, 4, size=ORACLE.complex_uses)].tobytes()
+
+    def test_encode_returns_a_writable_copy(self):
+        """Writing into an encoded codeword leaves the next encode alone."""
+        first = encode(ORACLE, 5, power=1.0)
+        expected = first.copy()
+        assert first.flags.writeable
+        first[:] = 0.0
+        assert encode(ORACLE, 5, power=1.0).tobytes() == expected.tobytes()
 
 
 class TestOracleDecode:

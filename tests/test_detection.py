@@ -21,6 +21,7 @@ from umacsim.detection import (
     DetectionError,
     SicHistory,
     energy_detect,
+    gram_store,
     ls_channel_estimate,
     omp_detect,
     omp_detect_many,
@@ -503,11 +504,11 @@ class TestGramStore:
         d = Dictionary(columns=a)
         half = ys.shape[1] // 2
         first = omp_detect_many(ys[:, :half], d, max_iters[:half], stops[:half])
-        slot = d.gram[1].copy()
+        slot = gram_store(d)[1].copy()
         known = slot >= 0
         assert known.any()
         second = omp_detect_many(ys[:, half:], d, max_iters[half:], stops[half:])
-        assert (d.gram[1][known] == slot[known]).all()
+        assert (gram_store(d)[1][known] == slot[known]).all()
         matches_complex128_omp(first, ys[:, :half], a, max_iters[:half], stops[:half])
         matches_complex128_omp(second, ys[:, half:], a, max_iters[half:], stops[half:])
 
@@ -528,7 +529,7 @@ class TestGramStore:
         monkeypatch.setattr(detection, "_pass", counted)
         cold = detect_bytes(ys, d, 12)
         assert len(passes) > 1
-        slot = d.gram[1]
+        slot = gram_store(d)[1]
         assert sorted(slot[slot >= 0]) == list(range(sum(passes[1:])))
         passes.clear()
         assert detect_bytes(ys, d, 12) == cold
@@ -548,7 +549,26 @@ class TestGramStore:
         assert "gram" not in vars(d)
         monkeypatch.setattr(detection, "GRAM_BYTES", size * size * 8)
         assert detect_bytes(ys, d, 10) == per_call
-        assert (d.gram[1] >= 0).any()
+        assert (gram_store(d)[1] >= 0).any()
+
+    def test_store_is_kept_only_under_the_limit(self, monkeypatch):
+        """A dictionary whose Gram matrix fits in `GRAM_BYTES` keeps one store
+        for its lifetime, in the correlation dtype; above it each call gives
+        a fresh store and leaves the dictionary as it was.  The store is
+        `detection`'s: a `Dictionary` has no `gram` of its own."""
+        a = gaussian_dict(20, 40, 0)
+        assert not hasattr(Dictionary, "gram")
+        assert not hasattr(Dictionary(columns=a), "gram")
+        for dtype in (np.complex64, np.complex128):
+            d = Dictionary(columns=a.astype(dtype, order="F"))
+            assert gram_store(d) is gram_store(d)
+            assert gram_store(d)[0].dtype == dtype
+        d = Dictionary(columns=a.astype(np.complex64, order="F"))
+        kept = set(vars(d))
+        monkeypatch.setattr(detection, "GRAM_BYTES", 40 * 40 * 8 - 1)
+        first, second = gram_store(d), gram_store(d)
+        assert all(x is not y for x, y in zip(first, second))
+        assert set(vars(d)) == kept
 
     def test_rayleigh_1024_probe_with_and_without_store(self, monkeypatch):
         """A 10-trial twostep_rayleigh_1024 probe gives the same counts and
@@ -580,7 +600,7 @@ class TestGramStore:
             per_call = probe()
         vars(pre).pop("gram", None)           # a cold store
         assert probe() == per_call
-        assert (pre.gram[1] >= 0).any()
+        assert (gram_store(pre)[1] >= 0).any()
         assert probe() == per_call
         assert per_call[0] == [10, 300, 36, 0]
 
@@ -688,6 +708,22 @@ class TestSicHistory:
                         ys[:, b] += -gain * (a[:, j].astype(complex) * amp)
                         history.cancel(int(j), gain * amp)
         assert any(h.atoms for h in histories)
+
+    def test_default_histories_are_fresh(self):
+        """A call without `histories` gives each signal a fresh `SicHistory`:
+        the indices, coefficient bytes and residual-energy bytes of a call
+        with a list of new ones."""
+        a, ys = wide_problem()
+
+        def results(**kwargs):
+            return [
+                (r.indices, r.coefficients.tobytes(), np.float64(r.residual_energy).tobytes())
+                for r in omp_detect_many(ys, Dictionary(columns=a), 12, **kwargs)
+            ]
+
+        histories = [SicHistory() for _ in range(ys.shape[1])]
+        assert results() == results(histories=histories)
+        assert all(h.beta0 is not None and not h.atoms for h in histories)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("scale, rejected", [(4.2e37, False), (4.3e37, True)])
