@@ -23,6 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bounds import min_snr_single_user
+from .sequences import _gaussian_columns
 
 
 class CodecModel(str, Enum):
@@ -108,11 +109,10 @@ def decode_threshold(spec: CodecSpec) -> float:
 
 @lru_cache(maxsize=16)
 def _ml_codebook_unit(spec: CodecSpec) -> np.ndarray:
-    """Unit-power Gaussian codebook, shape (complex_uses, 2^k)."""
-    rng = np.random.default_rng(np.random.SeedSequence(0))
-    n, m = spec.complex_uses, spec.n_messages
-    cols = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
-    cols *= math.sqrt(n) / np.linalg.norm(cols, axis=0)
+    """Unit-power Gaussian codebook, shape (complex_uses, 2^k), in C order:
+    the layout sets the order in which `decode` sums each distance."""
+    n, rng = spec.complex_uses, np.random.default_rng(np.random.SeedSequence(0))
+    cols = np.ascontiguousarray(_gaussian_columns(spec.n_messages, n, n, rng, complex))
     cols.setflags(write=False)
     return cols
 
@@ -140,7 +140,9 @@ def encode(spec: CodecSpec, message: int, power: float = 1.0) -> np.ndarray:
     check_message(spec, message)
     if spec.model is CodecModel.ML_RANDOM_GAUSSIAN:
         return _ml_codebook_unit(spec)[:, message] * math.sqrt(power)
-    return _oracle_codeword_unit(spec, message) * math.sqrt(power)
+    # A message of more than 12 bits (the cache's 4096 entries) rarely recurs: no caching.
+    word = _oracle_codeword_unit if spec.payload_bits <= 12 else _oracle_codeword_unit.__wrapped__
+    return word(spec, message) * math.sqrt(power)
 
 
 def decode(

@@ -111,15 +111,13 @@ class TwoStepConfig:
         return self.pilot_len + self.codec.complex_uses
 
     @property
-    def preamble_region_len(self) -> int:
-        return self.preamble.length
-
-    @property
     def frame_len(self) -> int:
-        return self.preamble_region_len + self.n_occasions * self.occasion_len
+        return self.preamble.length + self.n_occasions * self.occasion_len
 
-    def occasion_offset(self, occasion: int) -> int:
-        return self.preamble_region_len + occasion * self.occasion_len
+    def occasion(self, frame: np.ndarray, index: int) -> np.ndarray:
+        """The view of `frame` that occasion `index` occupies: pilot, then codeword."""
+        start = self.preamble.length + index * self.occasion_len
+        return frame[start : start + self.occasion_len]
 
     @property
     def n_pilots(self) -> int:
@@ -213,17 +211,15 @@ class TransmissionRecord:
 
     def add_user(self, frame: np.ndarray, user: UserTx, scale: complex) -> None:
         """Add `scale` times the user's preamble and copy signals to `frame`,
-        in place: the one statement of where a user's signals sit in a frame.
-        An oracle user's copy is its pilot, so only the pilot samples of its
-        occasions change."""
+        in place.  An oracle user's copy is its pilot, so only the pilot
+        samples of its occasions change."""
         # The preamble is rebuilt from the cached dictionary at each use
         # rather than kept per user; complex64 columns are upcast first.
         column = build_dictionaries(self.config)[0].column(user.preamble_index)
         preamble = column.astype(complex) * user.preamble_amplitude
         frame[: len(preamble)] += scale * preamble
         for occ in user.occasions:
-            off = self.config.occasion_offset(occ)
-            frame[off : off + len(user.copy_signal)] += scale * user.copy_signal
+            self.config.occasion(frame, occ)[: len(user.copy_signal)] += scale * user.copy_signal
 
 
 @dataclass
@@ -286,6 +282,12 @@ def encode_user(
 # receiving
 
 
+def _pilot_estimate(cfg: TwoStepConfig, user: UserTx, y: np.ndarray, occ: int) -> complex:
+    """LS estimate of the user's gain from its pilot in occasion `occ` of `y`."""
+    pilot = user.copy_signal[: cfg.pilot_len]
+    return ls_channel_estimate(cfg.occasion(y, occ)[: cfg.pilot_len], pilot)
+
+
 def _effective_sinr(
     cfg: TwoStepConfig,
     user: UserTx,
@@ -313,9 +315,7 @@ def _effective_sinr(
                 interference += abs(v.gain) ** 2 * v.copy_energy
         penalty = 0.0
         if fading and cfg.pilot_len > 0:
-            off = cfg.occasion_offset(occ)
-            pilot = user.copy_signal[: cfg.pilot_len]
-            h_hat = ls_channel_estimate(y[off : off + cfg.pilot_len], pilot)
+            h_hat = _pilot_estimate(cfg, user, y, occ)
             penalty = abs(h_hat - user.gain) ** 2 * user.codeword_energy
         total += sig / (cfg.occasion_len + interference + penalty)
     return total
@@ -359,7 +359,7 @@ def twostep_receive_many(
     # column scale, so the unit-power dictionary serves every power.
     pre_dict, _ = build_dictionaries(cfg)
     store = gram_store(pre_dict)
-    pre_len = cfg.preamble_region_len
+    pre_len = cfg.preamble.length
     frames = [_SicFrame(y, genie) for y, genie in zip(ys, genies, strict=True)]
     running = frames
     while running:
@@ -385,9 +385,7 @@ def twostep_receive_many(
         running = []
         for f, det in zip(detecting, dets):
             newly = f.decode_round(cfg, det)
-            # Every further round needs a new decode, so len(users) + 1 rounds
-            # is the most a frame can use.
-            if mode is ReceiverMode.TIN_SIC and newly and f.rounds <= len(f.genie.users):
+            if mode is ReceiverMode.TIN_SIC and newly:
                 f.cancel(newly)
                 running.append(f)
     return [f.outcome() for f in frames]
@@ -399,7 +397,9 @@ class _SicFrame:
     def __init__(self, y: np.ndarray, genie: TransmissionRecord):
         self.y = np.array(y, dtype=complex)     # own copy, cancelled in place
         self.genie = genie
-        self.cancelled: set[int] = set()        # ids of cancelled users
+        self.pending: dict[int, list[UserTx]] = {}  # preamble -> users not yet cancelled
+        for u in genie.users:
+            self.pending.setdefault(u.preamble_index, []).append(u)
         self.decoded: set[int] = set()
         self.detected: set[int] = set()
         self.round_decodes: list[int] = []
@@ -408,23 +408,16 @@ class _SicFrame:
 
     def decode_round(self, cfg: TwoStepConfig, det: DetectionResult) -> list[UserTx]:
         """One decode attempt per detected preamble; returns the users decoded."""
-        users = self.genie.users
         self.detected.update(det.indices)
         # Cancellation waits for the end of the round, so the uncancelled
         # set, in the order `_effective_sinr` sums it, is built once.
         active = sorted(
-            (v for v in users if id(v) not in self.cancelled),
+            (v for users in self.pending.values() for v in users),
             key=lambda u: (u.message, u.preamble_index),
         )
         newly: list[UserTx] = []
         for p in det.indices:
-            cand = [
-                u
-                for u in users
-                if u.preamble_index == p
-                and id(u) not in self.cancelled
-                and u.message not in self.decoded
-            ]
+            cand = [u for u in self.pending.get(p, []) if u.message not in self.decoded]
             if not cand:
                 continue
             # One attempt per detected preamble, aimed at the strongest user.
@@ -451,9 +444,10 @@ class _SicFrame:
         """Ideal SIC: subtract the users' exact contributions from the frame.
         A user's preamble leaves the preamble region times gain * amplitude."""
         for u in newly:
-            self.cancelled.add(id(u))
+            p = u.preamble_index    # u leaves by identity: UserTx compares arrays under ==
+            self.pending[p] = [v for v in self.pending[p] if v is not u]
             self.genie.add_user(self.y, u, -u.gain)
-            self.history.cancel(u.preamble_index, u.gain * u.preamble_amplitude)
+            self.history.cancel(p, u.gain * u.preamble_amplitude)
 
     def outcome(self) -> DecodeOutcome:
         return DecodeOutcome(
@@ -469,13 +463,10 @@ def _ml_attempt(
 ) -> tuple[bool, int | None]:
     """Actual ML decode on the user's occasion samples (ML configs have rho = 1)."""
     occ = user.occasions[0]
-    off = cfg.occasion_offset(occ) + cfg.pilot_len
-    seg = y[off : off + cfg.codec.complex_uses]
+    gain = 1.0
     if cfg.channel_model is ChannelModel.RAYLEIGH:
-        poff = cfg.occasion_offset(occ)
-        gain = ls_channel_estimate(y[poff : poff + cfg.pilot_len], user.copy_signal[: cfg.pilot_len])
-    else:
-        gain = 1.0
+        gain = _pilot_estimate(cfg, user, y, occ)
+    seg = cfg.occasion(y, occ)[cfg.pilot_len :]
     return decode(cfg.codec, observed=seg, gain=gain * math.sqrt(power))
 
 

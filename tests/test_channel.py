@@ -144,7 +144,7 @@ class TestFadingTransmit:
         x = user_frame(cfg, user)
         y = frame(cfg, [user], 0, silent)
         occupied = x != 0
-        assert occupied.sum() == cfg.preamble_region_len + cfg.occasion_len
+        assert occupied.sum() == cfg.preamble.length + cfg.occasion_len
         assert np.array_equal(y[occupied], user.gain * x[occupied])
         assert np.all(y[~occupied] == 0)
 

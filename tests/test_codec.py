@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from umacsim import codec, montecarlo
 from umacsim.bounds import min_snr_single_user
 from umacsim.channel import complex_noise
-from umacsim.cli import ebn0_db, load_preset
+from umacsim.cli import build_experiment, ebn0_db, load_preset
 from umacsim.codec import (
     CodecError,
     CodecModel,
@@ -80,6 +81,27 @@ class TestEncode:
         assert first.flags.writeable
         first[:] = 0.0
         assert encode(ORACLE, 5, power=1.0).tobytes() == expected.tobytes()
+
+    def test_only_short_payloads_are_cached(self):
+        """A 100-bit codeword is built afresh, so it never fills the cache
+        with words no trial reads again; an 8-bit one is cached and hit."""
+        codec._oracle_codeword_unit.cache_clear()
+        encode(ORACLE, (1 << 99) + 12345)
+        assert codec._oracle_codeword_unit.cache_info().currsize == 0
+        short = CodecSpec(codeword_bits=128, payload_bits=8)
+        first = encode(short, 77)
+        assert encode(short, 77).tobytes() == first.tobytes()
+        assert codec._oracle_codeword_unit.cache_info()[:2] == (1, 1)   # hits, misses
+
+    def test_ml_codebook_bytes(self):
+        """The codebook of twostep_awgn_mini (128-bit codewords, 8-bit
+        payloads) is pinned byte for byte, read-only and in C order."""
+        assert build_experiment(load_preset("twostep_awgn_mini")).config.codec == ML8
+        book = codec._ml_codebook_unit(ML8)
+        assert book.flags.c_contiguous and not book.flags.writeable
+        assert hashlib.sha256(book.tobytes()).hexdigest() == (
+            "922d8390d97b5da01704cd07bbcddeada76dae69e639cfdc60695c8fd709c0dc"
+        )
 
 
 class TestOracleDecode:

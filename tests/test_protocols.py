@@ -127,6 +127,24 @@ class TestConfigs:
         with pytest.raises(ProtocolError, match="pilot_len"):
             fading_cfg(pilot_len=-7)
 
+    def test_occasion_is_a_writable_view(self):
+        cfg = fading_cfg()
+        frame = np.zeros(cfg.frame_len, dtype=complex)
+        view = cfg.occasion(frame, 3)
+        assert len(view) == cfg.occasion_len
+        assert view.base is frame and view.flags.writeable
+        view[:] = 1.0
+        start = cfg.preamble.length + 3 * cfg.occasion_len
+        assert np.array_equal(np.flatnonzero(frame), np.arange(start, start + cfg.occasion_len))
+
+    @pytest.mark.parametrize("cfg", [awgn_cfg(), fading_cfg(), awgn_cfg(codec=ML8, pilot_len=7)])
+    def test_occasions_tile_the_frame_after_the_preambles(self, cfg):
+        """Occasion 0 starts where the preamble region ends, each occasion
+        starts where the one before ends, and the last ends at frame_len."""
+        index = np.arange(cfg.frame_len)
+        tiles = np.concatenate([cfg.occasion(index, o) for o in range(cfg.n_occasions)])
+        assert np.array_equal(tiles, index[cfg.preamble.length :])
+
     def test_rho_bounds(self):
         with pytest.raises(ProtocolError):
             TwoStepConfig(
@@ -163,9 +181,8 @@ class TestEncode:
             sent = pilot_len + (codec.complex_uses if codec is ML8 else 0)
             assert len(user.copy_signal) == sent
             occupied = np.zeros(len(frame), dtype=bool)
-            occupied[: cfg.preamble_region_len] = True
-            off = cfg.occasion_offset(user.occasions[0])
-            occupied[off : off + sent] = True
+            occupied[: cfg.preamble.length] = True
+            cfg.occasion(occupied, user.occasions[0])[:sent] = True
             assert np.all(frame[~occupied] == 0)
             assert np.all(frame[occupied] != 0)
 
@@ -200,10 +217,7 @@ class TestEncode:
         )
         frame, user = encode_frame(cfg, 77, np.random.default_rng(1))
         assert len(user.occasions) == 2
-        blocks = [
-            frame[cfg.occasion_offset(o) : cfg.occasion_offset(o) + 300]
-            for o in user.occasions
-        ]
+        blocks = [cfg.occasion(frame, o) for o in user.occasions]
         assert np.array_equal(blocks[0], blocks[1])
 
     def test_split_energy_policy_halves_copy_energy(self):
@@ -272,7 +286,7 @@ class TestEncode:
                 sent = energy(frame)
                 if cfg.codec.model is CodecModel.ORACLE_THRESHOLD:
                     copies = len(user.occasions)
-                    preamble = energy(frame[: cfg.preamble_region_len])
+                    preamble = energy(frame[: cfg.preamble.length])
                     assert sent == pytest.approx(preamble + copies * energy(user.copy_signal))
                     sent += copies * user.codeword_energy
                 assert sent <= len(frame) * power * (1 + 1e-9)
@@ -371,6 +385,32 @@ class TestTwoStepReceive:
         frame.cancel(users[:2])
         rest = transmit(cfg, users[2:], 0.0, rng)
         assert np.allclose(frame.y, rest, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("third, pins", [
+        (False, [({4242}, 2, [1, 0]), ({4242}, 2, [1, 0])]),
+        (True, [({999, 4242}, 3, [1, 1, 0]), ({4242}, 2, [1, 0])]),
+    ])
+    def test_tin_sic_same_preamble_same_message(self, third, pins):
+        """Outcome pins for two users with one preamble, one message and
+        unequal gains, listed strong first and then weak first.  The decode
+        is aimed at the strong user, but the user cancelled is the first of
+        the record with the decoded message: in the reverse order the weak
+        one.  With a third user on another preamble in the same occasion,
+        only the forward order cancels the strong user's interference and
+        decodes the third in a later round."""
+        cfg = fading_cfg(preamble=PreambleSpec(size=1024, base_length=139, repetitions=2))
+        power = 10 ** 2.0
+        rng = np.random.default_rng(5)
+        strong = encode_user(cfg, 4242, rng, power=power, gain=2.0 + 0j, preamble_index=5)
+        weak = encode_user(cfg, 4242, rng, power=power, gain=0.3 + 0j, preamble_index=5)
+        others = [encode_user(cfg, 999, rng, power=power, gain=0.8 + 0j, preamble_index=69)]
+        others = others if third else []
+        y = transmit(cfg, [strong, weak] + others, 1.0, rng)
+        for order, (decoded, rounds, round_decodes) in zip(([strong, weak], [weak, strong]), pins):
+            record = TransmissionRecord(cfg, power, order + others)
+            out = twostep_receive(y, cfg, ReceiverMode.TIN_SIC, record)
+            assert (out.decoded_messages, out.sic_rounds) == (decoded, rounds)
+            assert out.round_decodes == round_decodes
 
 
 class TestTwoStepReceiveMany:
