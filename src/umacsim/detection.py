@@ -251,7 +251,7 @@ def omp_detect_many(
         # |conj(r)^T a_j| == |a_j^H r| without a conjugated dictionary copy.
         betas = _pass(conj_ys, a, np.empty((len(fresh), a.shape[1]), work))
         for state, beta0 in zip(fresh, betas):
-            state.start(beta0)
+            state.history.beta0 = beta0
     with lock:
         while running:
             waiting = []
@@ -260,7 +260,7 @@ def omp_detect_many(
                     if state.needs(slot):
                         waiting.append(state)
                         break
-                    state.step(state.correlations(gram, slot), state.delta(bound))
+                    state.step(gram, slot, bound)
             if waiting:
                 # One pass for the rows every waiting signal wants, without
                 # repeats, written into the store's next free rows.
@@ -309,13 +309,13 @@ def _pass(rows: np.ndarray, a: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 def _rounding_bound(n: int, dtype, max_norm: float) -> Callable[[int, float, float], float]:
     """The function (k, y_norm, coef_sum) -> delta that `omp_detect_many`
-    calls before its beta0 pass and before each correlation update.  It
-    raises DetectionError if a value computed in `dtype` could overflow,
-    so an overflow is rejected before numpy meets it.  Else it returns
-    delta with |c_j - s_j| <= delta for every column j, where c_j = |beta_j|
-    is a correlation computed in `dtype`, beta = beta0 - conj(coef) G_S
-    with k atoms selected, and s_j its complex128 re-score against the
-    stored residual in `_CholeskyOmp._pick`.
+    calls before its beta0 pass and `_CholeskyOmp.step` before each
+    correlation update.  It raises DetectionError if a value computed in
+    `dtype` could overflow, so an overflow is rejected before numpy meets
+    it.  Else it returns delta with |c_j - s_j| <= delta for every column
+    j, where c_j = |beta_j| is a correlation computed in `dtype`, beta =
+    beta0 - conj(coef) G_S with k atoms selected, and s_j its complex128
+    re-score against the stored residual in `_CholeskyOmp._pick`.
 
     A signal is its `SicHistory`'s first frame y_1 with m atoms C
     cancelled (m may be 0), y_1 - sum_u c_u a_u as ideal SIC computes it,
@@ -431,10 +431,10 @@ class _CholeskyOmp:
         self.residual = self.y
         self.res_energy = e_y
         self.running = self.max_iters > 0 and e_y > self.stop_energy
-        self.beta0: np.ndarray | None = None        # conj(y)^T A, set by omp_detect_many
+        self.beta0: np.ndarray | None = None        # conj(y)^T A, set by the first `step`
         self.corr: np.ndarray | None = None         # the latest correlations, for `wanted`
         # y is the history's first frame y_1 less its cancelled atoms, whose
-        # Gram rows give y's beta0 (`correlations`) once the history has y_1's.
+        # Gram rows give y's beta0 (`step`) once the history has y_1's.
         # Until then y starts the history afresh and joins the beta0 pass.
         self.history = history
         if history.beta0 is None:
@@ -447,10 +447,6 @@ class _CholeskyOmp:
         coef_sum = self.cancelled_sum + float(np.abs(self.coef).sum())
         return bound(len(self.selected) + len(self.history.atoms), self.history.y_norm, coef_sum)
 
-    def start(self, beta0: np.ndarray) -> None:
-        """Take beta0 from the call's beta0 pass; the history keeps it."""
-        self.beta0 = self.history.beta0 = beta0
-
     def needs(self, slot: np.ndarray) -> list[int]:
         """The atoms without a Gram row in the store (`slot` < 0) that this
         signal needs before its next step: its cancelled atoms while its
@@ -460,22 +456,6 @@ class _CholeskyOmp:
         if self.selected and slot[self.selected[-1]] < 0:
             return [self.selected[-1]]
         return []
-
-    def correlations(self, gram: np.ndarray, slot: np.ndarray) -> np.ndarray:
-        """|conj(r)^T A| = |beta0 - conj(coef) G_S| in the dictionary's
-        precision, with G_S = gram[slot[selected]] read from the Gram store.
-        Called before each step; the first call of a signal with no beta0
-        takes it as the history's beta0 - conj(c) G_C over its cancelled
-        atoms C, whose rows `needs` saw in the store."""
-        if self.beta0 is None:
-            h = self.history
-            coefs = np.asarray(h.coefs, dtype=complex).conj().astype(h.beta0.dtype)
-            self.beta0 = h.beta0 - coefs @ gram[slot[h.atoms]]
-        beta = self.beta0
-        if self.selected:
-            beta = beta - self.coef.conj().astype(beta.dtype) @ gram[slot[self.selected]]
-        self.corr = np.abs(beta)
-        return self.corr
 
     def wanted(self, slot: np.ndarray) -> list[int]:
         """The atoms `needs`, then, once beta0 is known, the atoms of the
@@ -506,10 +486,24 @@ class _CholeskyOmp:
         scores = [abs(np.vdot(self.a[:, j].astype(complex), self.residual)) for j in band]
         return int(band[int(np.argmax(scores))])
 
-    def step(self, corr: np.ndarray, bound: float) -> None:
-        """One selection from this signal's correlations |a_j^H r|."""
+    def step(self, gram: np.ndarray, slot: np.ndarray, bound: Callable) -> None:
+        """One selection, in order: `delta`, which raises before any value
+        could overflow; the correlations |conj(r)^T A| = |beta0 - conj(coef)
+        G_S| in the dictionary's precision, G_S = gram[slot[selected]] from
+        the Gram store, kept for `wanted`; the exact `_pick`; the least-squares
+        update.  The first step takes beta0 as the history's beta0 - conj(c)
+        G_C over its cancelled atoms C, whose rows `needs` saw in the store."""
+        delta = self.delta(bound)
+        if self.beta0 is None:
+            h = self.history
+            coefs = np.asarray(h.coefs, dtype=complex).conj().astype(h.beta0.dtype)
+            self.beta0 = h.beta0 - coefs @ gram[slot[h.atoms]] if h.atoms else h.beta0
+        beta = self.beta0
+        if self.selected:
+            beta = beta - self.coef.conj().astype(beta.dtype) @ gram[slot[self.selected]]
+        self.corr = np.abs(beta)
         k = len(self.selected)
-        j = self._pick(corr, bound)
+        j = self._pick(self.corr, delta)
         # The selected columns and a_j as rows, gathered afresh each step:
         # holding them for every signal of a batch would cost more memory
         # than the gather costs time.

@@ -434,7 +434,9 @@ class _SicFrame:
                 ok, msg = _ml_attempt(cfg, u, self.y, self.genie.power)
             if ok and msg is not None and msg not in self.decoded:
                 self.decoded.add(msg)
-                match = next((v for v in cand if v.message == msg), None)
+                # Cancel u if the decode gave its message, else (an ML decode
+                # can) the candidate whose message it gave.
+                match = next((v for v in [u, *cand] if v.message == msg), None)
                 if match is not None:
                     newly.append(match)
         self.round_decodes.append(len(newly))

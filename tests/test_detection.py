@@ -315,17 +315,30 @@ class TestOmpMany:
             omp_detect_many(a[:, :2], a.astype(np.complex64, order="F"), 5)
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("scale", [1e39, 1e60, 1e100])
-    def test_correlation_overflow_rejected(self, scale):
+    @pytest.mark.parametrize("collinear, scale", [
+        *[pytest.param(False, s, id=f"{s:g}") for s in (1e39, 1e60, 1e100)],
+        pytest.param(True, 1e40, id="collinear-1e+40"),
+    ])
+    def test_correlation_overflow_rejected(self, collinear, scale):
         """A finite signal beyond complex64's range used to make inf - inf =
         NaN in the correlations, an empty pick band and numpy's error from
-        an empty argmax.  It is rejected before numpy meets an overflow, so
-        no RuntimeWarning precedes the error."""
-        a = gaussian_dict(40, 100, 0).astype(np.complex64, order="F")
-        y = scale * (2 * a[:, 3].astype(complex) + a[:, 7])
+        an empty argmax.  A signal within it, on the near-collinear columns
+        e1 and e1 + 2e-6 e2, has least-squares coefficients beyond it after
+        two picks; its correlations were computed before their bound was
+        checked, so numpy warned of an overflow before the error.  Both are
+        rejected before numpy meets an overflow, so no RuntimeWarning
+        precedes the error, and both are detected at 1e30."""
+        if collinear:
+            a = np.zeros((8, 4), np.complex64)
+            a[0, :2], a[1, 1], a[2, 2], a[3, 3] = 1, 2e-6, 1, 1
+            c = a.astype(complex)
+            y, iters, picks = c[:, 0] - c[:, 1] + 1e-13 * c[:, 2] + 1e-14 * c[:, 3], 4, [1, 0]
+        else:
+            a = gaussian_dict(40, 100, 0).astype(np.complex64, order="F")
+            y, iters, picks = 2 * a[:, 3].astype(complex) + a[:, 7], 5, [3, 7]
         with pytest.raises(DetectionError, match="correlations overflow"):
-            omp_detect(y, Dictionary(columns=a), 5)
-        assert omp_detect(1e30 * y / scale, Dictionary(columns=a), 5).indices[:2] == [3, 7]
+            omp_detect(scale * y, Dictionary(columns=a), iters)
+        assert omp_detect(1e30 * y, Dictionary(columns=a), iters).indices[:2] == picks
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("dtype, scale", [
@@ -728,7 +741,7 @@ class TestSicHistory:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("scale, rejected", [(4.2e37, False), (4.3e37, True)])
     def test_cancellation_sum_reaches_the_ceiling(self, scale, rejected):
-        """`_range_check`'s ceiling is a quarter of complex64's largest
+        """`_rounding_bound`'s ceiling is a quarter of complex64's largest
         value, 8.5e37, for unit columns.  A first frame of norm `scale`
         passes it, and so does the frame left after `scale` times its atom
         is cancelled, of norm 1e30.  A round that takes beta0 from the

@@ -1,5 +1,5 @@
 import math
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -387,27 +387,27 @@ class TestTwoStepReceive:
         assert np.allclose(frame.y, rest, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("third, pins", [
-        (False, [({4242}, 2, [1, 0]), ({4242}, 2, [1, 0])]),
-        (True, [({999, 4242}, 3, [1, 1, 0]), ({4242}, 2, [1, 0])]),
+        (False, ({4242}, 2, [1, 0])),
+        (True, ({999, 4242}, 3, [1, 1, 0])),
     ])
     def test_tin_sic_same_preamble_same_message(self, third, pins):
-        """Outcome pins for two users with one preamble, one message and
-        unequal gains, listed strong first and then weak first.  The decode
-        is aimed at the strong user, but the user cancelled is the first of
-        the record with the decoded message: in the reverse order the weak
-        one.  With a third user on another preamble in the same occasion,
-        only the forward order cancels the strong user's interference and
-        decodes the third in a later round."""
+        """Two users with one preamble, one message and unequal gains, and
+        with `third` a third user on another preamble in the same occasion.
+        The decode is aimed at the strong user and cancels it, so every
+        order of the record gives one outcome: with the third user, the
+        strong user's interference leaves and the third decodes in a later
+        round."""
         cfg = fading_cfg(preamble=PreambleSpec(size=1024, base_length=139, repetitions=2))
         power = 10 ** 2.0
         rng = np.random.default_rng(5)
         strong = encode_user(cfg, 4242, rng, power=power, gain=2.0 + 0j, preamble_index=5)
         weak = encode_user(cfg, 4242, rng, power=power, gain=0.3 + 0j, preamble_index=5)
-        others = [encode_user(cfg, 999, rng, power=power, gain=0.8 + 0j, preamble_index=69)]
-        others = others if third else []
-        y = transmit(cfg, [strong, weak] + others, 1.0, rng)
-        for order, (decoded, rounds, round_decodes) in zip(([strong, weak], [weak, strong]), pins):
-            record = TransmissionRecord(cfg, power, order + others)
+        other = encode_user(cfg, 999, rng, power=power, gain=0.8 + 0j, preamble_index=69)
+        users = [strong, weak, other] if third else [strong, weak]
+        y = transmit(cfg, users, 1.0, rng)
+        decoded, rounds, round_decodes = pins
+        for order in permutations(users):
+            record = TransmissionRecord(cfg, power, list(order))
             out = twostep_receive(y, cfg, ReceiverMode.TIN_SIC, record)
             assert (out.decoded_messages, out.sic_rounds) == (decoded, rounds)
             assert out.round_decodes == round_decodes
