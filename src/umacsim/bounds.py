@@ -137,6 +137,8 @@ def load_reference_curve(path) -> ReferenceCurve:
                 ka, snr_db = float(row[0]), float(row[1])
             except ValueError:
                 raise CurveError(f"{path}:{lineno}: non-numeric row {row!r}") from None
+            if not (math.isfinite(ka) and math.isfinite(snr_db)):
+                raise CurveError(f"{path}:{lineno}: non-finite row {row!r}")
             if points and ka <= points[-1][0]:
                 raise CurveError(
                     f"{path}:{lineno}: ka must be strictly increasing "

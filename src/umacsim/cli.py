@@ -304,10 +304,6 @@ def load_preset(name: str) -> ExperimentConfig:
 # running
 
 
-def _scale_schedule(schedule: tuple[int, ...], scale: float) -> tuple[int, ...]:
-    return tuple(max(1, math.ceil(t * scale)) for t in schedule)
-
-
 def write_csv(config: ExperimentConfig, seed: int, points: list[PupeCurvePoint], path):
     """The points, labelled with the config's scenario and channel and the seed."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -338,10 +334,18 @@ def run(
     """Execute the sweep, write the CSV, print a summary; returns exit code.
 
     Raises ConfigError, before any probe or checkpoint, unless `trials_scale`
-    is positive and finite and the reference curve, if any, loads.
+    is positive and scales every trials_schedule entry to a finite count,
+    the directory of `out_path` exists and the reference curve, if any, loads.
     """
-    if not (math.isfinite(trials_scale) and trials_scale > 0):
-        raise ConfigError(f"--trials-scale must be positive and finite, got {trials_scale}")
+    scaled = [t * trials_scale for t in config.trials_schedule]
+    if not (trials_scale > 0 and all(map(math.isfinite, scaled))):
+        raise ConfigError(
+            f"--trials-scale must be positive and finite, got {trials_scale} "
+            f"(trials_schedule {list(config.trials_schedule)} scales to {scaled})"
+        )
+    out_dir = os.path.dirname(out_path) or "."
+    if not os.path.isdir(out_dir):
+        raise ConfigError(f"--out {out_path}: directory {out_dir} does not exist")
     reference = None
     if config.reference_curve_path is not None:
         try:
@@ -351,7 +355,7 @@ def run(
     seed = config.seed if seed is None else seed
     if seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {seed}")
-    schedule = _scale_schedule(config.trials_schedule, trials_scale)
+    schedule = tuple(max(1, math.ceil(t)) for t in scaled)
     experiment = build_experiment(config)
     digest = _config_digest(config, seed, trials_scale)
 

@@ -24,8 +24,8 @@ from .channel import ChannelModel, complex_noise
 from .codec import SlottedAlohaConfig, encode
 from .protocols import (
     ReceiverMode,
-    TransmissionRecord,
     TwoStepConfig,
+    UserTx,
     encode_user,
     slotted_aloha_receive,
     twostep_receive,  # noqa: F401  perfbench/spans.py wraps it under this name
@@ -133,7 +133,7 @@ class TwoStepExperiment:
         cfg = self.config
         power = _snr_power(snr_db)
         fading = cfg.channel_model is ChannelModel.RAYLEIGH
-        records = []
+        users_per_frame = []
         for rng in rngs:
             users = []
             for _ in range(ka):
@@ -145,21 +145,21 @@ class TwoStepExperiment:
                 else:
                     gain = 1.0 + 0.0j
                 users.append(encode_user(cfg, msg, rng, power=power, gain=gain))
-            records.append(TransmissionRecord(config=cfg, power=power, users=users))
+            users_per_frame.append(users)
         # A generator: the receiver copies each frame as it takes it, so the
         # frames built here are freed one by one instead of all staying alive.
-        frames = (self._frame(record, rng) for record, rng in zip(records, rngs))
-        outcomes = twostep_receive_many(frames, cfg, self.receiver, records)
+        frames = (self._frame(users, rng) for users, rng in zip(users_per_frame, rngs))
+        outcomes = twostep_receive_many(frames, cfg, self.receiver, users_per_frame)
         return [
-            _score([u.message for u in record.users], outcome.decoded_messages)
-            for record, outcome in zip(records, outcomes)
+            _score([u.message for u in users], outcome.decoded_messages)
+            for users, outcome in zip(users_per_frame, outcomes)
         ]
 
-    def _frame(self, record: TransmissionRecord, rng: np.random.Generator) -> np.ndarray:
+    def _frame(self, users: list[UserTx], rng: np.random.Generator) -> np.ndarray:
         """Noise from `rng` plus every user's faded transmission."""
         y = complex_noise(self.config.frame_len, 1.0, rng)
-        for u in record.users:
-            record.add_user(y, u, u.gain)
+        for u in users:
+            self.config.add_user(y, u, u.gain)
         return y
 
 

@@ -119,6 +119,18 @@ class TwoStepConfig:
         start = self.preamble.length + index * self.occasion_len
         return frame[start : start + self.occasion_len]
 
+    def add_user(self, frame: np.ndarray, user: UserTx, scale: complex) -> None:
+        """Add `scale` times the user's preamble and copy signals to `frame`, in
+        place; ideal SIC passes minus the user's gain.  An oracle user's copy
+        is its pilot, so only the pilot samples of its occasions change."""
+        # The preamble is rebuilt from the cached dictionary at each use
+        # rather than kept per user; complex64 columns are upcast first.
+        column = build_dictionaries(self)[0].column(user.preamble_index)
+        preamble = column.astype(complex) * user.preamble_amplitude
+        frame[: len(preamble)] += scale * preamble
+        for occ in user.occasions:
+            self.occasion(frame, occ)[: len(user.copy_signal)] += scale * user.copy_signal
+
     @property
     def n_pilots(self) -> int:
         if self.rho > 1:
@@ -177,9 +189,9 @@ def build_dictionaries(cfg: TwoStepConfig) -> tuple[Dictionary, Dictionary | Non
 # ground truth
 
 
-@dataclass
+@dataclass(eq=False)
 class UserTx:
-    """Genie-side record of one user's transmission.
+    """Genie-side record of one user's transmission, compared by identity.
 
     `copy_signal` is what the user places at the start of each of its
     occasions: its pilot (empty when pilot_len is 0), then, with the ML
@@ -199,27 +211,6 @@ class UserTx:
     copy_signal: np.ndarray         # pilot, then the ML codec's codeword
     codeword_energy: float          # per copy
     copy_energy: float              # pilot + codeword, per copy: read per SINR term
-
-
-@dataclass
-class TransmissionRecord:
-    """Ground truth of one trial, for PUPE scoring and ideal SIC only."""
-
-    config: TwoStepConfig
-    power: float
-    users: list[UserTx] = field(default_factory=list)
-
-    def add_user(self, frame: np.ndarray, user: UserTx, scale: complex) -> None:
-        """Add `scale` times the user's preamble and copy signals to `frame`,
-        in place.  An oracle user's copy is its pilot, so only the pilot
-        samples of its occasions change."""
-        # The preamble is rebuilt from the cached dictionary at each use
-        # rather than kept per user; complex64 columns are upcast first.
-        column = build_dictionaries(self.config)[0].column(user.preamble_index)
-        preamble = column.astype(complex) * user.preamble_amplitude
-        frame[: len(preamble)] += scale * preamble
-        for occ in user.occasions:
-            self.config.occasion(frame, occ)[: len(user.copy_signal)] += scale * user.copy_signal
 
 
 @dataclass
@@ -301,7 +292,7 @@ def _effective_sinr(
     and the last term models the loss from imperfect pilot-based channel
     estimation (fading only).  `active` holds the uncancelled users sorted by
     (message, preamble_index): that order fixes the summation order, so the
-    result does not depend on the order of the genie record.
+    result does not depend on the order of the users list.
     """
     fading = cfg.channel_model is ChannelModel.RAYLEIGH
     sig = abs(user.gain) ** 2 * user.codeword_energy
@@ -325,7 +316,7 @@ def twostep_receive(
     y: np.ndarray,
     cfg: TwoStepConfig,
     mode: ReceiverMode,
-    genie: TransmissionRecord,
+    users: list[UserTx],
 ) -> DecodeOutcome:
     """OMP preamble detection, per-preamble decode attempts, optional ideal SIC.
 
@@ -333,16 +324,16 @@ def twostep_receive(
     of every decoded user and repeats until no round decodes anybody new.
     This is `twostep_receive_many` on one frame.
     """
-    return twostep_receive_many([y], cfg, mode, [genie])[0]
+    return twostep_receive_many([y], cfg, mode, [users])[0]
 
 
 def twostep_receive_many(
     ys: Iterable[np.ndarray],
     cfg: TwoStepConfig,
     mode: ReceiverMode,
-    genies: list[TransmissionRecord],
+    users_per_frame: list[list[UserTx]],
 ) -> list[DecodeOutcome]:
-    """`twostep_receive` on every frame of `ys`, each with its own genie record.
+    """`twostep_receive` on every frame of `ys`, each with the users who sent it.
 
     The frames' SIC rounds advance together: each round makes one
     `omp_detect_many` call over the frames still decoding, so a pass over
@@ -360,7 +351,7 @@ def twostep_receive_many(
     pre_dict, _ = build_dictionaries(cfg)
     store = gram_store(pre_dict)
     pre_len = cfg.preamble.length
-    frames = [_SicFrame(y, genie) for y, genie in zip(ys, genies, strict=True)]
+    frames = [_SicFrame(y, users, cfg) for y, users in zip(ys, users_per_frame, strict=True)]
     running = frames
     while running:
         detecting: list[_SicFrame] = []
@@ -373,7 +364,7 @@ def twostep_receive_many(
                 thresholds.append(min(1.0, 1.1 * pre_len / e_pre))
         if not detecting:
             break
-        max_iters = [min(2 * max(1, len(f.genie.users)), cfg.preamble.size) for f in detecting]
+        max_iters = [min(2 * max(1, len(f.users)), cfg.preamble.size) for f in detecting]
         dets = omp_detect_many(
             np.column_stack([f.y[:pre_len] for f in detecting]),
             pre_dict,
@@ -384,7 +375,7 @@ def twostep_receive_many(
         )
         running = []
         for f, det in zip(detecting, dets):
-            newly = f.decode_round(cfg, det)
+            newly = f.decode_round(det)
             if mode is ReceiverMode.TIN_SIC and newly:
                 f.cancel(newly)
                 running.append(f)
@@ -394,11 +385,12 @@ def twostep_receive_many(
 class _SicFrame:
     """One frame's receiver state inside `twostep_receive_many`."""
 
-    def __init__(self, y: np.ndarray, genie: TransmissionRecord):
+    def __init__(self, y: np.ndarray, users: list[UserTx], cfg: TwoStepConfig):
         self.y = np.array(y, dtype=complex)     # own copy, cancelled in place
-        self.genie = genie
+        self.users = users
+        self.cfg = cfg
         self.pending: dict[int, list[UserTx]] = {}  # preamble -> users not yet cancelled
-        for u in genie.users:
+        for u in users:
             self.pending.setdefault(u.preamble_index, []).append(u)
         self.decoded: set[int] = set()
         self.detected: set[int] = set()
@@ -406,8 +398,9 @@ class _SicFrame:
         self.rounds = 0
         self.history = SicHistory()             # for OMP, over the preamble region
 
-    def decode_round(self, cfg: TwoStepConfig, det: DetectionResult) -> list[UserTx]:
+    def decode_round(self, det: DetectionResult) -> list[UserTx]:
         """One decode attempt per detected preamble; returns the users decoded."""
+        cfg = self.cfg
         self.detected.update(det.indices)
         # Cancellation waits for the end of the round, so the uncancelled
         # set, in the order `_effective_sinr` sums it, is built once.
@@ -431,7 +424,7 @@ class _SicFrame:
                 sinr = _effective_sinr(cfg, u, active, self.y)
                 ok, msg = decode(cfg.codec, genie_sinr=sinr, true_message=u.message)
             else:
-                ok, msg = _ml_attempt(cfg, u, self.y, self.genie.power)
+                ok, msg = _ml_attempt(cfg, u, self.y)
             if ok and msg is not None and msg not in self.decoded:
                 self.decoded.add(msg)
                 # Cancel u if the decode gave its message, else (an ML decode
@@ -446,10 +439,9 @@ class _SicFrame:
         """Ideal SIC: subtract the users' exact contributions from the frame.
         A user's preamble leaves the preamble region times gain * amplitude."""
         for u in newly:
-            p = u.preamble_index    # u leaves by identity: UserTx compares arrays under ==
-            self.pending[p] = [v for v in self.pending[p] if v is not u]
-            self.genie.add_user(self.y, u, -u.gain)
-            self.history.cancel(p, u.gain * u.preamble_amplitude)
+            self.pending[u.preamble_index].remove(u)
+            self.cfg.add_user(self.y, u, -u.gain)
+            self.history.cancel(u.preamble_index, u.gain * u.preamble_amplitude)
 
     def outcome(self) -> DecodeOutcome:
         return DecodeOutcome(
@@ -460,16 +452,14 @@ class _SicFrame:
         )
 
 
-def _ml_attempt(
-    cfg: TwoStepConfig, user: UserTx, y: np.ndarray, power: float
-) -> tuple[bool, int | None]:
+def _ml_attempt(cfg: TwoStepConfig, user: UserTx, y: np.ndarray) -> tuple[bool, int | None]:
     """Actual ML decode on the user's occasion samples (ML configs have rho = 1)."""
     occ = user.occasions[0]
     gain = 1.0
     if cfg.channel_model is ChannelModel.RAYLEIGH:
         gain = _pilot_estimate(cfg, user, y, occ)
     seg = cfg.occasion(y, occ)[cfg.pilot_len :]
-    return decode(cfg.codec, observed=seg, gain=gain * math.sqrt(power))
+    return decode(cfg.codec, observed=seg, gain=gain * user.preamble_amplitude)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from umacsim.protocols import (
     EnergyPolicy,
     PreambleSpec,
     ReceiverMode,
-    TransmissionRecord,
     TwoStepConfig,
     encode_user,
     twostep_receive,
@@ -297,13 +296,11 @@ def test_criterion_10_determinism_and_symmetry(announce, tmp_path):
             )
             users.append(encode_user(cfg, draw_message(rng, 100), rng,
                                      power=10.0, gain=gain))
-        record = TransmissionRecord(cfg, 10.0, users)
         y = complex_noise(cfg.frame_len, 1.0, rng)
         for u in users:
-            record.add_user(y, u, u.gain)
-        fwd = twostep_receive(y, cfg, ReceiverMode.TIN_SIC, record)
-        perm = TransmissionRecord(cfg, 10.0, list(reversed(users)))
-        rev = twostep_receive(y, cfg, ReceiverMode.TIN_SIC, perm)
+            cfg.add_user(y, u, u.gain)
+        fwd = twostep_receive(y, cfg, ReceiverMode.TIN_SIC, users)
+        rev = twostep_receive(y, cfg, ReceiverMode.TIN_SIC, list(reversed(users)))
         symmetric = symmetric and fwd.decoded_messages == rev.decoded_messages
     ok = identical and symmetric
     announce(ok, "criterion 10: determinism and unsourced symmetry",

@@ -197,3 +197,13 @@ class TestReferenceCurve:
         path.write_text("ka,snr_db\n10,1.0\nten,2.0\n")
         with pytest.raises(CurveError, match=":3"):
             load_reference_curve(path)
+
+    @pytest.mark.parametrize(
+        "rows, line", [("nan,1\n0,2\n", 2), ("0,1\n1,nan\n", 3), ("5,inf\n", 2)],
+        ids=["nan_ka", "nan_snr", "inf_snr"],
+    )
+    def test_non_finite_row_has_line_number(self, tmp_path, rows, line):
+        path = tmp_path / "bad.csv"
+        path.write_text("ka,snr_db\n" + rows)
+        with pytest.raises(CurveError, match=f":{line}: non-finite"):
+            load_reference_curve(path)

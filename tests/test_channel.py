@@ -2,7 +2,7 @@
 
 A two-step frame is y = sum_i h_i x_i + z: `TwoStepExperiment._frame` draws
 z with `complex_noise` and places each user's signals with
-`TransmissionRecord.add_user`, the same call ideal SIC makes with -h_i.
+`TwoStepConfig.add_user`, the same call ideal SIC makes with -h_i.
 Eb/N0 has one formula, `cli.ebn0_db`.
 """
 import dataclasses
@@ -17,7 +17,7 @@ from umacsim.channel import ChannelModel, complex_noise, energy
 from umacsim.cli import ConfigError, ebn0_db, load_preset
 from umacsim.codec import CodecModel, CodecSpec
 from umacsim.montecarlo import TwoStepExperiment, draw_message
-from umacsim.protocols import DecodeOutcome, TransmissionRecord, TwoStepConfig, encode_user
+from umacsim.protocols import DecodeOutcome, TwoStepConfig, encode_user
 from umacsim.sequences import PreambleSpec
 
 ML8 = CodecSpec(codeword_bits=128, payload_bits=8, model=CodecModel.ML_RANDOM_GAUSSIAN)
@@ -43,26 +43,25 @@ def silent(n, variance, rng):
 
 def frame(cfg, users, seed, noise=complex_noise):
     """`TwoStepExperiment._frame` of the users, with `noise` as the channel noise."""
-    record = TransmissionRecord(cfg, 1.0, users)
     with mock.patch.object(montecarlo, "complex_noise", noise):
-        return TwoStepExperiment(config=cfg)._frame(record, np.random.default_rng(seed))
+        return TwoStepExperiment(config=cfg)._frame(users, np.random.default_rng(seed))
 
 
 def user_frame(cfg, user):
     """The user's full transmitted frame (before channel gain)."""
     x = np.zeros(cfg.frame_len, dtype=complex)
-    TransmissionRecord(cfg, 1.0, [user]).add_user(x, user, 1.0)
+    cfg.add_user(x, user, 1.0)
     return x
 
 
-def skip_receiver(monkeypatch, records, frames=None):
+def skip_receiver(monkeypatch, users_per_frame, frames=None):
     """Keep what `run_trials` hands the two-step receiver, and skip it."""
 
-    def receive(ys, cfg, mode, genies):
+    def receive(ys, cfg, mode, users):
         if frames is not None:
             frames.extend(np.array(y) for y in ys)
-        records.extend(genies)
-        return [DecodeOutcome(set(), set(), 0) for _ in genies]
+        users_per_frame.extend(users)
+        return [DecodeOutcome(set(), set(), 0) for _ in users]
 
     monkeypatch.setattr(montecarlo, "twostep_receive_many", receive)
 
@@ -79,11 +78,10 @@ class TestAwgnTransmit:
     def test_noiseless_cancellation(self):
         cfg = small_cfg()
         (user,) = users_of(cfg, 1, np.random.default_rng(0))
-        record = TransmissionRecord(cfg, 1.0, [user])
         y = np.zeros(cfg.frame_len, dtype=complex)
-        record.add_user(y, user, 0.3 - 1.7j)
+        cfg.add_user(y, user, 0.3 - 1.7j)
         assert np.any(y != 0)
-        record.add_user(y, user, -(0.3 - 1.7j))
+        cfg.add_user(y, user, -(0.3 - 1.7j))
         assert np.all(y == 0)
 
     def test_mean_output_energy_two_users(self):
@@ -118,12 +116,12 @@ class TestFadingTransmit:
         assert np.array_equal(frame(fading, users, 11), frame(awgn, users, 11))
 
     def test_gain_second_moment(self, monkeypatch):
-        records = []
-        skip_receiver(monkeypatch, records)
+        users_per_frame = []
+        skip_receiver(monkeypatch, users_per_frame)
         experiment = TwoStepExperiment(config=small_cfg(ChannelModel.RAYLEIGH, pilot_len=16))
         rngs = [np.random.default_rng(seed) for seed in range(100)]
         experiment.run_trials(100, 10.0, rngs)
-        gains = [u.gain for record in records for u in record.users]
+        gains = [u.gain for users in users_per_frame for u in users]
         m = np.mean(np.abs(gains) ** 2)
         se = 1.0 / math.sqrt(len(gains))   # var(|H|^2) = 1 for CN(0,1)
         assert len(gains) == 10_000
@@ -153,7 +151,7 @@ class TestTwoStepFrame:
     @pytest.mark.parametrize("model", list(ChannelModel))
     def test_frame_is_noise_plus_gain_times_user_frames(self, monkeypatch, model):
         # Keep the noise `run_trials` draws and the frames it builds.
-        noises, frames, genies = [], [], []
+        noises, frames, users_per_frame = [], [], []
 
         def noise(n, variance, rng):
             z = complex_noise(n, variance, rng)
@@ -161,17 +159,17 @@ class TestTwoStepFrame:
             return z
 
         monkeypatch.setattr(montecarlo, "complex_noise", noise)
-        skip_receiver(monkeypatch, genies, frames)
+        skip_receiver(monkeypatch, users_per_frame, frames)
         cfg = small_cfg(model, pilot_len=16)
         rngs = [np.random.default_rng(seed) for seed in range(6)]
         TwoStepExperiment(config=cfg).run_trials(5, 10.0, rngs)
-        assert len(frames) == len(noises) == len(genies) == 6
-        for y, z, record in zip(frames, noises, genies):
+        assert len(frames) == len(noises) == len(users_per_frame) == 6
+        for y, z, users in zip(frames, noises, users_per_frame):
             expected = z
-            for u in record.users:
+            for u in users:
                 expected = expected + u.gain * user_frame(cfg, u)
             assert np.array_equal(y, expected)
-            fading = any(u.gain != 1 for u in record.users)
+            fading = any(u.gain != 1 for u in users)
             assert fading == (model is ChannelModel.RAYLEIGH)
 
 

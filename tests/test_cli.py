@@ -355,7 +355,7 @@ class TestRun:
         assert ",4," in out.read_text().splitlines()[1]
 
 
-    @pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf, 1e308])
     def test_non_finite_trials_scale_rejected(self, tmp_path, scale):
         c = parse_config(FAST_CONFIG)
         with pytest.raises(ConfigError, match="finite"):
@@ -364,8 +364,11 @@ class TestRun:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
-        "content", [None, "ka,snr\n1,2\n", "ka,snr_db\n1,x\n", "ka,snr_db\n"],
-        ids=["missing", "bad_header", "non_numeric", "no_rows"],
+        "content",
+        [None, "ka,snr\n1,2\n", "ka,snr_db\n1,x\n", "ka,snr_db\n",
+         "ka,snr_db\nnan,1\n0,2\n", "ka,snr_db\n1,nan\n", "ka,snr_db\n5,inf\n"],
+        ids=["missing", "bad_header", "non_numeric", "no_rows",
+             "nan_ka", "nan_snr", "inf_snr"],
     )
     def test_bad_reference_curve_rejected_before_any_probe(
         self, tmp_path, monkeypatch, content
@@ -384,6 +387,16 @@ class TestRun:
         with pytest.raises(ConfigError, match="reference_curve_path"):
             run(c, str(out_dir / "r.csv"), stream=io.StringIO())
         assert list(out_dir.iterdir()) == []
+
+    def test_out_in_missing_directory_rejected_before_any_probe(self, tmp_path, monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("a probe ran")
+
+        monkeypatch.setattr(cli, "run_sweep", no_sweep)
+        out = tmp_path / "missing" / "r.csv"
+        with pytest.raises(ConfigError, match="missing does not exist"):
+            run(parse_config(FAST_CONFIG), str(out), stream=io.StringIO())
+        assert list(tmp_path.iterdir()) == []
 
     def test_reference_curve_in_summary(self, tmp_path):
         curve = tmp_path / "ref.csv"
@@ -580,7 +593,7 @@ class TestMain:
         path.write_text(FAST_CONFIG)
         assert main(["--config", str(path), "--trials-scale", "0"]) == 1
 
-    @pytest.mark.parametrize("scale", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("scale", ["nan", "inf", "-inf", "1e+308"])
     def test_non_finite_trials_scale(self, tmp_path, capsys, scale):
         path = tmp_path / "cfg.yaml"
         path.write_text(FAST_CONFIG)

@@ -19,7 +19,6 @@ from umacsim.protocols import (
     EnergyPolicy,
     ProtocolError,
     ReceiverMode,
-    TransmissionRecord,
     TwoStepConfig,
     _effective_sinr,
     _SicFrame,
@@ -57,17 +56,16 @@ def fading_cfg(**over):
 
 def transmit(cfg, users, noise_power, rng):
     y = complex_noise(cfg.frame_len, noise_power, rng)
-    record = TransmissionRecord(cfg, 1.0, users)
     for u in users:
-        record.add_user(y, u, u.gain)
+        cfg.add_user(y, u, u.gain)
     return y
 
 
 def encode_frame(cfg, message, rng, power=1.0):
-    """One user's full transmitted frame and its genie record."""
+    """One user's full transmitted frame, and the user."""
     user = encode_user(cfg, message, rng, power=power)
     frame = np.zeros(cfg.frame_len, dtype=complex)
-    TransmissionRecord(cfg, power, [user]).add_user(frame, user, 1.0)
+    cfg.add_user(frame, user, 1.0)
     return frame, user
 
 
@@ -301,9 +299,8 @@ class TestTwoStepReceive:
         for seed in range(trials):
             rng = np.random.default_rng(seed)
             user = encode_user(cfg, draw_message(rng, 100), rng, power=power)
-            record = TransmissionRecord(cfg, power, [user])
             y = transmit(cfg, [user], 1.0, rng)
-            out = twostep_receive(y, cfg, ReceiverMode.TIN, record)
+            out = twostep_receive(y, cfg, ReceiverMode.TIN, [user])
             ok += user.message in out.decoded_messages
         assert ok / trials >= 0.99
 
@@ -313,9 +310,8 @@ class TestTwoStepReceive:
         rng = np.random.default_rng(0)
         u1 = encode_user(cfg, 111, rng, power=power, preamble_index=5)
         u2 = encode_user(cfg, 222, rng, power=power, preamble_index=5)
-        record = TransmissionRecord(cfg, power, [u1, u2])
         y = transmit(cfg, [u1, u2], 1.0, rng)
-        out = twostep_receive(y, cfg, ReceiverMode.TIN, record)
+        out = twostep_receive(y, cfg, ReceiverMode.TIN, [u1, u2])
         assert 111 not in out.decoded_messages
         assert 222 not in out.decoded_messages
 
@@ -326,9 +322,8 @@ class TestTwoStepReceive:
             rng = np.random.default_rng(seed)
             u1 = encode_user(cfg, 111, rng, power=power, gain=1.4 + 0j, preamble_index=5)
             u2 = encode_user(cfg, 222, rng, power=power, gain=0.2 + 0j, preamble_index=5)
-            record = TransmissionRecord(cfg, power, [u1, u2])
             y = transmit(cfg, [u1, u2], 1.0, rng)
-            out = twostep_receive(y, cfg, ReceiverMode.TIN, record)
+            out = twostep_receive(y, cfg, ReceiverMode.TIN, [u1, u2])
             assert 222 not in out.decoded_messages
 
     def test_tin_sic_superset_of_tin(self):
@@ -343,10 +338,9 @@ class TestTwoStepReceive:
                 )
                 users.append(encode_user(cfg, draw_message(rng, 100), rng,
                                          power=power, gain=gain))
-            record = TransmissionRecord(cfg, power, users)
             y = transmit(cfg, users, 1.0, rng)
-            tin = twostep_receive(y, cfg, ReceiverMode.TIN, record)
-            sic = twostep_receive(y, cfg, ReceiverMode.TIN_SIC, record)
+            tin = twostep_receive(y, cfg, ReceiverMode.TIN, users)
+            sic = twostep_receive(y, cfg, ReceiverMode.TIN_SIC, users)
             assert sic.decoded_messages >= tin.decoded_messages
             assert sic.sic_rounds <= len(users) + 1
 
@@ -363,13 +357,8 @@ class TestTwoStepReceive:
                 users.append(encode_user(cfg, draw_message(rng, 100), rng,
                                          power=power, gain=gain))
             y = transmit(cfg, users, 1.0, rng)
-            fwd = twostep_receive(
-                y, cfg, ReceiverMode.TIN_SIC, TransmissionRecord(cfg, power, users)
-            )
-            rev = twostep_receive(
-                y, cfg, ReceiverMode.TIN_SIC,
-                TransmissionRecord(cfg, power, list(reversed(users))),
-            )
+            fwd = twostep_receive(y, cfg, ReceiverMode.TIN_SIC, users)
+            rev = twostep_receive(y, cfg, ReceiverMode.TIN_SIC, list(reversed(users)))
             assert fwd.decoded_messages == rev.decoded_messages
 
     def test_sic_cancel_leaves_the_other_users(self):
@@ -381,7 +370,7 @@ class TestTwoStepReceive:
             encode_user(cfg, draw_message(rng, 100), rng, power=4.0, gain=g)
             for g in (0.9 + 0.4j, -0.3 + 1.1j, 0.5 - 0.7j)
         ]
-        frame = _SicFrame(transmit(cfg, users, 0.0, rng), TransmissionRecord(cfg, 4.0, users))
+        frame = _SicFrame(transmit(cfg, users, 0.0, rng), users, cfg)
         frame.cancel(users[:2])
         rest = transmit(cfg, users[2:], 0.0, rng)
         assert np.allclose(frame.y, rest, rtol=0, atol=1e-12)
@@ -394,7 +383,7 @@ class TestTwoStepReceive:
         """Two users with one preamble, one message and unequal gains, and
         with `third` a third user on another preamble in the same occasion.
         The decode is aimed at the strong user and cancels it, so every
-        order of the record gives one outcome: with the third user, the
+        order of the users list gives one outcome: with the third user, the
         strong user's interference leaves and the third decodes in a later
         round."""
         cfg = fading_cfg(preamble=PreambleSpec(size=1024, base_length=139, repetitions=2))
@@ -407,8 +396,7 @@ class TestTwoStepReceive:
         y = transmit(cfg, users, 1.0, rng)
         decoded, rounds, round_decodes = pins
         for order in permutations(users):
-            record = TransmissionRecord(cfg, power, list(order))
-            out = twostep_receive(y, cfg, ReceiverMode.TIN_SIC, record)
+            out = twostep_receive(y, cfg, ReceiverMode.TIN_SIC, list(order))
             assert (out.decoded_messages, out.sic_rounds) == (decoded, rounds)
             assert out.round_decodes == round_decodes
 
@@ -420,7 +408,7 @@ class TestTwoStepReceiveMany:
         cfg = fading_cfg()
         power = 10 ** 1.2
         rng = np.random.default_rng(11)
-        frames, records = [], []
+        frames, users_per_frame = [], []
         for ka in (1, 3, 5, 8, 2, 6, 4):
             users = []
             for _ in range(ka):
@@ -429,12 +417,12 @@ class TestTwoStepReceiveMany:
                 )
                 users.append(encode_user(cfg, draw_message(rng, 100), rng,
                                          power=power, gain=gain))
-            records.append(TransmissionRecord(cfg, power, users))
+            users_per_frame.append(users)
             frames.append(transmit(cfg, users, 1.0, rng))
         before = [y.copy() for y in frames]
         for mode in ReceiverMode:
-            many = twostep_receive_many(frames, cfg, mode, records)
-            alone = [twostep_receive(y, cfg, mode, r) for y, r in zip(frames, records)]
+            many = twostep_receive_many(frames, cfg, mode, users_per_frame)
+            alone = [twostep_receive(y, cfg, mode, u) for y, u in zip(frames, users_per_frame)]
             assert many == alone
             assert all(np.array_equal(y, b) for y, b in zip(frames, before))
         assert any(out.sic_rounds > 1 for out in many)
@@ -496,10 +484,9 @@ class TestSbidmaReceive:
                 )
                 users.append(encode_user(cfg, draw_message(rng, 100), rng,
                                          power=power, gain=gain))
-            record = TransmissionRecord(cfg, power, users)
             y = transmit(cfg, users, 1.0, rng)
-            tin = twostep_receive(y, cfg, ReceiverMode.TIN, record)
-            sic = twostep_receive(y, cfg, ReceiverMode.TIN_SIC, record)
+            tin = twostep_receive(y, cfg, ReceiverMode.TIN, users)
+            sic = twostep_receive(y, cfg, ReceiverMode.TIN_SIC, users)
             assert sic.decoded_messages >= tin.decoded_messages
 
 
@@ -564,15 +551,15 @@ class TestSicPasses:
         cfg = fading_cfg(preamble=PreambleSpec(size=1024, base_length=139, repetitions=2))
         power = 10 ** 1.5
         rng = np.random.default_rng(25)
-        frames, records = [], []
+        frames, users_per_frame = [], []
         for ka in (6, 12, 3, 9):
             users = []
             for _ in range(ka):
                 gain = complex((rng.standard_normal() + 1j * rng.standard_normal()) / math.sqrt(2))
                 users.append(encode_user(cfg, draw_message(rng, 100), rng, power=power, gain=gain))
-            records.append(TransmissionRecord(cfg, power, users))
+            users_per_frame.append(users)
             frames.append(transmit(cfg, users, 1.0, rng))
-        expected = twostep_receive_many(frames, cfg, ReceiverMode.TIN_SIC, records)
+        expected = twostep_receive_many(frames, cfg, ReceiverMode.TIN_SIC, users_per_frame)
 
         stores, calls, missing = [], [], []
         make_store = protocols.gram_store
@@ -602,7 +589,7 @@ class TestSicPasses:
         monkeypatch.setattr(protocols, "gram_store", recorded_store)
         monkeypatch.setattr(detection, "_pass", counted)
         monkeypatch.setattr(protocols, "omp_detect_many", recorded)
-        outcomes = twostep_receive_many(frames, cfg, ReceiverMode.TIN_SIC, records)
+        outcomes = twostep_receive_many(frames, cfg, ReceiverMode.TIN_SIC, users_per_frame)
         assert outcomes == expected
         assert len(stores) == 1 and len(calls) >= 3
         assert calls[0][0] == ("beta0", len(frames))
