@@ -17,24 +17,6 @@ class CurveError(ValueError):
 
 
 @dataclass(frozen=True)
-class BoundQuery:
-    n: int            # complex channel uses
-    k: float          # payload bits (log2 M)
-    epsilon: float    # target error probability
-    snr: float        # P / sigma^2, linear
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError(f"epsilon must be in (0,1), got {self.epsilon}")
-        if self.snr <= 0:
-            raise ValueError(f"snr must be > 0, got {self.snr}")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-
-
-@dataclass(frozen=True)
 class ReferenceCurve:
     points: tuple[tuple[float, float], ...]   # (ka, snr_db), ka strictly increasing
 
@@ -80,22 +62,27 @@ def q_inv(epsilon: float) -> float:
     return -NormalDist().inv_cdf(epsilon)
 
 
-def normal_approx_log_m(query: BoundQuery) -> float:
-    """log2 M = n C - sqrt(n V) Q^-1(eps); the O(log n) term is dropped."""
-    c = awgn_capacity(query.snr)
-    v = awgn_dispersion(query.snr)
-    return query.n * c - math.sqrt(query.n * v) * q_inv(query.epsilon)
+def normal_approx_log_m(n: int, epsilon: float, snr: float) -> float:
+    """log2 M = n C - sqrt(n V) Q^-1(eps) at linear snr; the O(log n) term is dropped."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    c = awgn_capacity(snr)
+    v = awgn_dispersion(snr)
+    return n * c - math.sqrt(n * v) * q_inv(epsilon)
 
 
 def min_snr_single_user(n: int, k: float, epsilon: float) -> float:
-    """The unique snr with normal_approx_log_m(n, k, eps, snr) = k.
+    """The unique snr with normal_approx_log_m(n, eps, snr) = k bits, k >= 1.
 
     Uniqueness follows from strict monotonicity of the approximation in snr.
     Bisection on a bracket [lo, hi] with gap(lo) <= 0 < gap(hi), until its
     width is at most 1e-12 * hi or it stops shrinking; returns its midpoint.
     """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+
     def gap(snr):
-        return normal_approx_log_m(BoundQuery(n=n, k=k, epsilon=epsilon, snr=snr)) - k
+        return normal_approx_log_m(n, epsilon, snr) - k
 
     lo, hi = 1e-9, 1.0
     for _ in range(80):

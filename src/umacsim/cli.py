@@ -141,6 +141,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{f.name}: must be finite, got {value}")
         if self.scenario == "slotted_aloha" and self.channel != ChannelModel.AWGN.value:
             raise ConfigError(f"channel: slotted_aloha runs on awgn only, got {self.channel!r}")
+        if self.scenario == "sbidma" and self.rho < 2:
+            raise ConfigError(f"rho: sbidma sends each packet rho >= 2 times, got {self.rho}")
         if not 0.0 < self.target_pupe <= 1.0:
             raise ConfigError(f"target_pupe: must be in (0, 1], got {self.target_pupe}")
         if self.snr_lo_db >= self.snr_hi_db:
@@ -335,7 +337,8 @@ def run(
 
     Raises ConfigError, before any probe or checkpoint, unless `trials_scale`
     is positive and scales every trials_schedule entry to a finite count,
-    the directory of `out_path` exists and the reference curve, if any, loads.
+    the directory of `out_path` exists, `out_path` is not a directory and
+    the reference curve, if any, loads.
     """
     scaled = [t * trials_scale for t in config.trials_schedule]
     if not (trials_scale > 0 and all(map(math.isfinite, scaled))):
@@ -346,6 +349,8 @@ def run(
     out_dir = os.path.dirname(out_path) or "."
     if not os.path.isdir(out_dir):
         raise ConfigError(f"--out {out_path}: directory {out_dir} does not exist")
+    if os.path.isdir(out_path):
+        raise ConfigError(f"--out {out_path}: is a directory, not a file")
     reference = None
     if config.reference_curve_path is not None:
         try:

@@ -280,6 +280,13 @@ def _per_signal(name: str, value, count: int) -> np.ndarray:
     return np.broadcast_to(values, (count,))
 
 
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on (its affinity mask)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _pass(rows: np.ndarray, a: np.ndarray, out: np.ndarray) -> np.ndarray:
     """rows @ a written into `out`, over a dictionary of at least `SPLIT_BYTES` split into
     one contiguous column block of `a` per CPU this process may run on.  The
@@ -290,9 +297,7 @@ def _pass(rows: np.ndarray, a: np.ndarray, out: np.ndarray) -> np.ndarray:
     forked worker.  A split pass need not round as a whole one does; its
     results only feed `_CholeskyOmp._pick`, which is exact for any
     summation order."""
-    workers = (
-        len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    )
+    workers = usable_cpus()
     if a.nbytes < SPLIT_BYTES or workers < 2:
         return np.matmul(rows, a, out=out)
     size = a.shape[1]

@@ -22,6 +22,7 @@ import numpy as np
 
 from .channel import ChannelModel, complex_noise
 from .codec import SlottedAlohaConfig, encode
+from .detection import usable_cpus
 from .protocols import (
     ReceiverMode,
     TwoStepConfig,
@@ -126,10 +127,10 @@ class TwoStepExperiment:
     def run_trials(
         self, ka: int, snr_db: float, rngs: list[np.random.Generator]
     ) -> list[tuple[int, int]]:
-        """(failed, clashes) per rng.  Each trial draws its users and then its
-        noise from its own rng; the frames are received together
-        (`twostep_receive_many`), which gives each the outcome it would get
-        alone."""
+        """(failed, clashes) per rng.  Each trial's rng draws, in order, per
+        user the message, the fading gain (rayleigh only) and the preamble,
+        then the frame's noise.  The frames are received together
+        (`twostep_receive_many`), which gives each the outcome it would get alone."""
         cfg = self.config
         power = _snr_power(snr_db)
         fading = cfg.channel_model is ChannelModel.RAYLEIGH
@@ -144,7 +145,8 @@ class TwoStepExperiment:
                     )
                 else:
                     gain = 1.0 + 0.0j
-                users.append(encode_user(cfg, msg, rng, power=power, gain=gain))
+                preamble = int(rng.integers(0, cfg.preamble.size))
+                users.append(encode_user(cfg, msg, preamble, power=power, gain=gain))
             users_per_frame.append(users)
         # A generator: the receiver copies each frame as it takes it, so the
         # frames built here are freed one by one instead of all staying alive.
@@ -236,8 +238,8 @@ def estimate_pupe(
     if ka < 1:
         raise MonteCarloError(f"ka must be >= 1, got {ka}")
     batches = [range(s, min(s + TRIAL_BATCH, trials)) for s in range(0, trials, TRIAL_BATCH)]
-    # A fork pool starts all its workers at once, so it gets one per batch at most.
-    workers = min(_worker_count(), len(batches))
+    # A fork pool starts all its workers at once: at most one per batch and per usable CPU.
+    workers = min(_worker_count(), len(batches), usable_cpus())
     run_batch = functools.partial(_run_batch, experiment, ka, snr_db, seed, probe)
     if workers == 1:
         counts = list(map(run_batch, batches))

@@ -228,16 +228,13 @@ class DecodeOutcome:
 def encode_user(
     cfg: TwoStepConfig,
     message: int,
-    rng: np.random.Generator,
+    preamble_index: int,
     power: float = 1.0,
     gain: complex = 1.0,
-    preamble_index: int | None = None,
 ) -> UserTx:
-    """Draw a preamble (uniform unless forced) and build the user's signals:
+    """Build the signals of a user who sends `message` on `preamble_index`:
     with the oracle codec, its pilot and energies but no codeword (`UserTx`)."""
     _, pilot_dict = build_dictionaries(cfg)
-    if preamble_index is None:
-        preamble_index = int(rng.integers(0, cfg.preamble.size))
     occasions, pilot_index = cfg.map_preamble(preamble_index)
     sqrt_p = math.sqrt(power)
     copy_scale = sqrt_p

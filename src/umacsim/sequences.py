@@ -126,8 +126,6 @@ def zadoff_chu(root: int, length: int) -> np.ndarray:
         raise SequenceError(f"length must be prime, got {length}")
     if not 1 <= root <= length - 1:
         raise SequenceError(f"root must be in [1, {length - 1}], got {root}")
-    if math.gcd(root, length) != 1:
-        raise SequenceError(f"root {root} not coprime with length {length}")
     m = np.arange(length)
     return np.exp(-1j * np.pi * root * m * (m + 1) / length)
 

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from umacsim.bounds import (
-    BoundQuery,
     aloha_collision_probability,
     min_snr_single_user,
     normal_approx_log_m,
@@ -129,8 +128,7 @@ def test_criterion_3_omp_recovery(announce):
 
 
 def test_criterion_4_normal_approximation(announce):
-    q = BoundQuery(n=500, k=100, epsilon=0.5, snr=1.7)
-    exact = abs(normal_approx_log_m(q) - 500 * math.log2(2.7)) < 1e-9
+    exact = abs(normal_approx_log_m(500, 0.5, 1.7) - 500 * math.log2(2.7)) < 1e-9
     rng = np.random.default_rng(4)
     worst = 0.0
     for _ in range(100):
@@ -138,7 +136,7 @@ def test_criterion_4_normal_approximation(announce):
         eps = float(rng.uniform(0.001, 0.4))
         k = float(rng.uniform(1.0, n / 2))
         snr = min_snr_single_user(n, k, eps)
-        back = normal_approx_log_m(BoundQuery(n=n, k=k, epsilon=eps, snr=snr))
+        back = normal_approx_log_m(n, eps, snr)
         worst = max(worst, abs(back - k) / k)
     ok = exact and worst < 1e-6
     announce(ok, "criterion 4: normal approximation",
@@ -294,8 +292,9 @@ def test_criterion_10_determinism_and_symmetry(announce, tmp_path):
             gain = complex(
                 (rng.standard_normal() + 1j * rng.standard_normal()) / math.sqrt(2)
             )
-            users.append(encode_user(cfg, draw_message(rng, 100), rng,
-                                     power=10.0, gain=gain))
+            msg = draw_message(rng, 100)
+            preamble = int(rng.integers(0, cfg.preamble.size))
+            users.append(encode_user(cfg, msg, preamble, power=10.0, gain=gain))
         y = complex_noise(cfg.frame_len, 1.0, rng)
         for u in users:
             cfg.add_user(y, u, u.gain)

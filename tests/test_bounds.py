@@ -9,7 +9,6 @@ from scipy.stats import norm
 
 import umacsim
 from umacsim.bounds import (
-    BoundQuery,
     CurveError,
     aloha_collision_probability,
     awgn_capacity,
@@ -84,14 +83,12 @@ class TestQInv:
 
 class TestNormalApprox:
     def test_eps_half_is_capacity(self):
-        q = BoundQuery(n=500, k=100, epsilon=0.5, snr=2.0)
-        assert normal_approx_log_m(q) == pytest.approx(500 * math.log2(3), rel=1e-12)
+        assert normal_approx_log_m(500, 0.5, 2.0) == pytest.approx(500 * math.log2(3), rel=1e-12)
 
     def test_asymptotic_rate(self):
         snr = 1.5
         # The per-use penalty is sqrt(V/n) Q^-1(eps): ~3e-4 at n=1e8.
-        q = BoundQuery(n=10**8, k=100, epsilon=0.01, snr=snr)
-        assert normal_approx_log_m(q) / 10**8 == pytest.approx(
+        assert normal_approx_log_m(10**8, 0.01, snr) / 10**8 == pytest.approx(
             math.log2(1 + snr), abs=1e-3
         )
 
@@ -101,19 +98,22 @@ class TestNormalApprox:
             n = int(rng.integers(50, 5000))
             eps = float(rng.uniform(0.001, 0.5))
             snr = float(rng.uniform(0.05, 20))
-            base = normal_approx_log_m(BoundQuery(n=n, k=1, epsilon=eps, snr=snr))
-            up_snr = normal_approx_log_m(BoundQuery(n=n, k=1, epsilon=eps, snr=snr * 1.1))
-            up_n = normal_approx_log_m(BoundQuery(n=2 * n, k=1, epsilon=eps, snr=snr))
+            base = normal_approx_log_m(n, eps, snr)
+            up_snr = normal_approx_log_m(n, eps, snr * 1.1)
+            up_n = normal_approx_log_m(2 * n, eps, snr)
             assert up_snr > base
             assert up_n > base
 
     def test_query_validation(self):
-        with pytest.raises(ValueError):
-            BoundQuery(n=0, k=1, epsilon=0.1, snr=1.0)
-        with pytest.raises(ValueError):
-            BoundQuery(n=10, k=1, epsilon=1.5, snr=1.0)
-        with pytest.raises(ValueError):
-            BoundQuery(n=10, k=1, epsilon=0.1, snr=0.0)
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            normal_approx_log_m(0, 0.1, 1.0)
+        with pytest.raises(ValueError, match="epsilon must be in"):
+            normal_approx_log_m(10, 1.5, 1.0)
+        with pytest.raises(ValueError, match="snr must be > 0"):
+            normal_approx_log_m(10, 0.1, 0.0)
+        for n, k, eps in ((0, 1, 0.1), (10, 1, 1.5), (10, 0.5, 0.1)):
+            with pytest.raises(ValueError):
+                min_snr_single_user(n, k, eps)
 
 
 class TestMinSnr:
@@ -132,10 +132,7 @@ class TestMinSnr:
         n, k, eps = 500, 100.0, 1e-2
         snr = min_snr_single_user(n, k, eps)
         grid_db = np.arange(-10.0, 10.0, 0.001)
-        vals = [
-            normal_approx_log_m(BoundQuery(n=n, k=k, epsilon=eps, snr=10 ** (g / 10)))
-            for g in grid_db
-        ]
+        vals = [normal_approx_log_m(n, eps, 10 ** (g / 10)) for g in grid_db]
         crossing = grid_db[int(np.searchsorted(vals, k))]
         assert 10 * math.log10(snr) == pytest.approx(crossing, abs=0.01)
 
@@ -146,7 +143,7 @@ class TestMinSnr:
             eps = float(rng.uniform(0.001, 0.4))
             k = float(rng.uniform(1.0, n / 2))
             snr = min_snr_single_user(n, k, eps)
-            back = normal_approx_log_m(BoundQuery(n=n, k=k, epsilon=eps, snr=snr))
+            back = normal_approx_log_m(n, eps, snr)
             assert back == pytest.approx(k, rel=1e-6)
 
     def test_cli_import_leaves_out_scipy(self):

@@ -33,7 +33,11 @@ def small_cfg(model=ChannelModel.AWGN, pilot_len=0):
 
 def users_of(cfg, count, rng, gains=None, power=1.0):
     gains = [1.0 + 0.0j] * count if gains is None else gains
-    return [encode_user(cfg, draw_message(rng, 8), rng, power=power, gain=g) for g in gains]
+    return [
+        encode_user(cfg, draw_message(rng, 8), int(rng.integers(0, cfg.preamble.size)),
+                    power=power, gain=g)
+        for g in gains
+    ]
 
 
 def silent(n, variance, rng):
@@ -130,7 +134,7 @@ class TestFadingTransmit:
     def test_opposite_gains_cancel(self):
         cfg = small_cfg(ChannelModel.RAYLEIGH, pilot_len=16)
         twins = [
-            encode_user(cfg, 77, np.random.default_rng(0), gain=g, preamble_index=3)
+            encode_user(cfg, 77, 3, gain=g)
             for g in (1.0 + 0.0j, -1.0 + 0.0j)
         ]
         assert np.all(frame(cfg, twins, 0, silent) == 0)

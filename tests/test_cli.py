@@ -145,9 +145,12 @@ class TestParseConfig:
             parse_config(bad)
 
     def test_rho_other_than_one_needs_sbidma(self):
-        # Only sbidma repeats packets: no other scenario reads rho.
+        # Only sbidma repeats packets: no other scenario reads rho, and an
+        # sbidma config with one copy used to ignore its energy_policy.
         sbidma = load_preset("sbidma_rayleigh_1024")
         assert sbidma.rho == 2
+        with pytest.raises(ConfigError, match="rho: sbidma sends each packet rho >= 2 times"):
+            dataclasses.replace(sbidma, rho=1)
         with pytest.raises(ConfigError, match="rho: not read by a twostep config"):
             dataclasses.replace(sbidma, scenario="twostep")
         with pytest.raises(ConfigError, match="rho: not read by a slotted_aloha config"):
@@ -398,6 +401,20 @@ class TestRun:
             run(parse_config(FAST_CONFIG), str(out), stream=io.StringIO())
         assert list(tmp_path.iterdir()) == []
 
+    def test_out_naming_a_directory_rejected_before_any_probe(self, tmp_path, monkeypatch):
+        # Used to run every probe, then fail to write the CSV and leave
+        # its checkpoint behind.
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("a probe ran")
+
+        monkeypatch.setattr(cli, "run_sweep", no_sweep)
+        out = tmp_path / "outdir"
+        out.mkdir()
+        with pytest.raises(ConfigError, match="outdir: is a directory"):
+            run(parse_config(FAST_CONFIG), str(out), stream=io.StringIO())
+        assert list(tmp_path.iterdir()) == [out]
+        assert list(out.iterdir()) == []
+
     def test_reference_curve_in_summary(self, tmp_path):
         curve = tmp_path / "ref.csv"
         curve.write_text("ka,snr_db\n1,3.25\n")
@@ -435,7 +452,7 @@ class TestProperties:
         if base.preamble_power_scale is not None:
             change["preamble_power_scale"] = draw(st.floats(1e-3, 10.0))
         if base.rho is not None:
-            change["rho"] = draw(st.integers(1, 3))
+            change["rho"] = draw(st.integers(2, 3))
             change["energy_policy"] = draw(
                 st.sampled_from(["split_across_copies", "per_copy_full"])
             )

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -172,6 +173,8 @@ class TestEstimatePupe:
                 return map(fn, items)
 
         monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", FakePool)
+        # More CPUs than workers asked for, so the CPU cap is not what binds.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
         monkeypatch.delenv("UMAC_BENCH_THREADS", raising=False)
         exp = SlottedAlohaExperiment(SlottedAlohaConfig(4, CodecSpec(16, 4)))
         serial = estimate_pupe(exp, 3, 5.0, 20, seed=2)
@@ -181,6 +184,59 @@ class TestEstimatePupe:
         monkeypatch.setenv("UMAC_BENCH_THREADS", "2")
         estimate_pupe(exp, 3, 5.0, TRIAL_BATCH, seed=2)
         assert sizes == [2]
+
+    def test_pool_capped_at_usable_cpus(self, monkeypatch):
+        """However many workers UMAC_BENCH_THREADS asks for, a probe gets at
+        most one per CPU this process may run on.  No real pool starts: the
+        fake one records its size and maps in this process."""
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setenv("UMAC_BENCH_THREADS", "64")
+        exp = SlottedAlohaExperiment(SlottedAlohaConfig(4, CodecSpec(16, 4)))
+        pooled = estimate_pupe(exp, 3, 5.0, 5 * TRIAL_BATCH, seed=2)
+        assert sizes == [2]
+        monkeypatch.delenv("UMAC_BENCH_THREADS")
+        assert estimate_pupe(exp, 3, 5.0, 5 * TRIAL_BATCH, seed=2) == pooled
+
+
+class TestRandomStream:
+    def test_numpy_stream_pinned(self):
+        """Every golden count, CSV pin and probe fingerprint rests on these
+        streams: SeedSequence(entropy, spawn_key) into PCG64, and
+        Generator.integers and standard_normal as the simulator calls them."""
+        rng = _trial_rng(2024, 30, 0, 0)
+        draws = (
+            [int(rng.integers(0, 1 << 32)) for _ in range(3)],      # draw_message
+            [rng.standard_normal() for _ in range(2)],              # a fading gain
+            int(rng.integers(0, 1024)),                             # a preamble
+            rng.standard_normal(3).tolist(),                        # complex_noise
+        )
+        assert draws == (
+            [223260281, 1418164929, 4069837731],
+            [-0.16614713180686097, -0.5206243278108025],
+            520,
+            [-0.8000687399526372, -1.3907777216165278, 0.28733665932218266],
+        ), (
+            f"numpy {np.__version__} draws another random stream than the one every "
+            "golden was recorded under (numpy 2.4), so every golden count, CSV pin and "
+            "probe fingerprint will differ too. The simulator is not at fault: the "
+            "goldens must be re-recorded under this numpy, or numpy pinned."
+        )
 
 
 class TestMinSnrSearch:

@@ -61,9 +61,15 @@ def transmit(cfg, users, noise_power, rng):
     return y
 
 
+def draw_preamble(cfg, rng):
+    """A uniform preamble index, drawn where `TwoStepExperiment.run_trials`
+    draws it: after the user's message and gain."""
+    return int(rng.integers(0, cfg.preamble.size))
+
+
 def encode_frame(cfg, message, rng, power=1.0):
     """One user's full transmitted frame, and the user."""
-    user = encode_user(cfg, message, rng, power=power)
+    user = encode_user(cfg, message, draw_preamble(cfg, rng), power=power)
     frame = np.zeros(cfg.frame_len, dtype=complex)
     cfg.add_user(frame, user, 1.0)
     return frame, user
@@ -188,7 +194,7 @@ class TestEncode:
         cfg = fading_cfg(
             preamble=PreambleSpec(size=1024, base_length=139, repetitions=2),
         )
-        user = encode_user(cfg, 1, np.random.default_rng(0), preamble_index=200)
+        user = encode_user(cfg, 1, 200)
         assert user.occasions == (200 % 64,)
         assert cfg.map_preamble(user.preamble_index)[1] == 200 // 64
 
@@ -226,8 +232,8 @@ class TestEncode:
                               energy_policy=EnergyPolicy.SPLIT_ACROSS_COPIES, **kw)
         full = TwoStepConfig(preamble=pre, rho=2,
                              energy_policy=EnergyPolicy.PER_COPY_FULL, **kw)
-        u_split = encode_user(split, 3, np.random.default_rng(2), preamble_index=10)
-        u_full = encode_user(full, 3, np.random.default_rng(2), preamble_index=10)
+        u_split = encode_user(split, 3, 10)
+        u_full = encode_user(full, 3, 10)
         assert u_split.copy_energy == pytest.approx(u_full.copy_energy / 2, rel=1e-12)
 
     def test_ml_copy_is_pilot_then_codeword(self):
@@ -236,7 +242,7 @@ class TestEncode:
         small = dict(preamble=PreambleSpec(size=8, base_length=31, repetitions=2),
                      n_occasions=8, codec=ML8)
         for cfg in (fading_cfg(pilot_len=16, **small), awgn_cfg(**small)):
-            user = encode_user(cfg, 5, np.random.default_rng(3), power=2.5)
+            user = encode_user(cfg, 5, draw_preamble(cfg, np.random.default_rng(3)), power=2.5)
             codeword = user.copy_signal[cfg.pilot_len :]
             assert len(user.copy_signal) == cfg.occasion_len
             assert np.array_equal(codeword, encode(ML8, 5) * math.sqrt(2.5))
@@ -257,7 +263,7 @@ class TestEncode:
             for i in range(1000):
                 cfg = configs[i % 2]
                 msg = draw_message(rng, 100)
-                user = encode_user(cfg, msg, rng, power=power)
+                user = encode_user(cfg, msg, draw_preamble(cfg, rng), power=power)
                 assert len(user.copy_signal) == cfg.pilot_len
                 exact = energy(encode(ORACLE, msg) * copy_scale)
                 assert abs(user.codeword_energy - exact) <= 8 * np.spacing(exact)
@@ -265,7 +271,8 @@ class TestEncode:
 
     def test_oracle_message_is_range_checked(self):
         with pytest.raises(CodecError, match="payload range"):
-            encode_user(awgn_cfg(), 1 << 100, np.random.default_rng(0))
+            cfg = awgn_cfg()
+            encode_user(cfg, 1 << 100, draw_preamble(cfg, np.random.default_rng(0)))
 
     def test_power_constraint_all_protocols(self):
         """A user's frame energy stays within its length times the power.  An
@@ -298,7 +305,7 @@ class TestTwoStepReceive:
         trials = 1000
         for seed in range(trials):
             rng = np.random.default_rng(seed)
-            user = encode_user(cfg, draw_message(rng, 100), rng, power=power)
+            user = encode_user(cfg, draw_message(rng, 100), draw_preamble(cfg, rng), power=power)
             y = transmit(cfg, [user], 1.0, rng)
             out = twostep_receive(y, cfg, ReceiverMode.TIN, [user])
             ok += user.message in out.decoded_messages
@@ -308,8 +315,8 @@ class TestTwoStepReceive:
         cfg = awgn_cfg()
         power = 10 ** 2.0
         rng = np.random.default_rng(0)
-        u1 = encode_user(cfg, 111, rng, power=power, preamble_index=5)
-        u2 = encode_user(cfg, 222, rng, power=power, preamble_index=5)
+        u1 = encode_user(cfg, 111, 5, power=power)
+        u2 = encode_user(cfg, 222, 5, power=power)
         y = transmit(cfg, [u1, u2], 1.0, rng)
         out = twostep_receive(y, cfg, ReceiverMode.TIN, [u1, u2])
         assert 111 not in out.decoded_messages
@@ -320,8 +327,8 @@ class TestTwoStepReceive:
         power = 10 ** 2.0
         for seed in range(30):
             rng = np.random.default_rng(seed)
-            u1 = encode_user(cfg, 111, rng, power=power, gain=1.4 + 0j, preamble_index=5)
-            u2 = encode_user(cfg, 222, rng, power=power, gain=0.2 + 0j, preamble_index=5)
+            u1 = encode_user(cfg, 111, 5, power=power, gain=1.4 + 0j)
+            u2 = encode_user(cfg, 222, 5, power=power, gain=0.2 + 0j)
             y = transmit(cfg, [u1, u2], 1.0, rng)
             out = twostep_receive(y, cfg, ReceiverMode.TIN, [u1, u2])
             assert 222 not in out.decoded_messages
@@ -336,7 +343,7 @@ class TestTwoStepReceive:
                 gain = complex(
                     (rng.standard_normal() + 1j * rng.standard_normal()) / math.sqrt(2)
                 )
-                users.append(encode_user(cfg, draw_message(rng, 100), rng,
+                users.append(encode_user(cfg, draw_message(rng, 100), draw_preamble(cfg, rng),
                                          power=power, gain=gain))
             y = transmit(cfg, users, 1.0, rng)
             tin = twostep_receive(y, cfg, ReceiverMode.TIN, users)
@@ -354,7 +361,7 @@ class TestTwoStepReceive:
                 gain = complex(
                     (rng.standard_normal() + 1j * rng.standard_normal()) / math.sqrt(2)
                 )
-                users.append(encode_user(cfg, draw_message(rng, 100), rng,
+                users.append(encode_user(cfg, draw_message(rng, 100), draw_preamble(cfg, rng),
                                          power=power, gain=gain))
             y = transmit(cfg, users, 1.0, rng)
             fwd = twostep_receive(y, cfg, ReceiverMode.TIN_SIC, users)
@@ -367,7 +374,7 @@ class TestTwoStepReceive:
         )
         rng = np.random.default_rng(8)
         users = [
-            encode_user(cfg, draw_message(rng, 100), rng, power=4.0, gain=g)
+            encode_user(cfg, draw_message(rng, 100), draw_preamble(cfg, rng), power=4.0, gain=g)
             for g in (0.9 + 0.4j, -0.3 + 1.1j, 0.5 - 0.7j)
         ]
         frame = _SicFrame(transmit(cfg, users, 0.0, rng), users, cfg)
@@ -389,9 +396,9 @@ class TestTwoStepReceive:
         cfg = fading_cfg(preamble=PreambleSpec(size=1024, base_length=139, repetitions=2))
         power = 10 ** 2.0
         rng = np.random.default_rng(5)
-        strong = encode_user(cfg, 4242, rng, power=power, gain=2.0 + 0j, preamble_index=5)
-        weak = encode_user(cfg, 4242, rng, power=power, gain=0.3 + 0j, preamble_index=5)
-        other = encode_user(cfg, 999, rng, power=power, gain=0.8 + 0j, preamble_index=69)
+        strong = encode_user(cfg, 4242, 5, power=power, gain=2.0 + 0j)
+        weak = encode_user(cfg, 4242, 5, power=power, gain=0.3 + 0j)
+        other = encode_user(cfg, 999, 69, power=power, gain=0.8 + 0j)
         users = [strong, weak, other] if third else [strong, weak]
         y = transmit(cfg, users, 1.0, rng)
         decoded, rounds, round_decodes = pins
@@ -415,7 +422,7 @@ class TestTwoStepReceiveMany:
                 gain = complex(
                     (rng.standard_normal() + 1j * rng.standard_normal()) / math.sqrt(2)
                 )
-                users.append(encode_user(cfg, draw_message(rng, 100), rng,
+                users.append(encode_user(cfg, draw_message(rng, 100), draw_preamble(cfg, rng),
                                          power=power, gain=gain))
             users_per_frame.append(users)
             frames.append(transmit(cfg, users, 1.0, rng))
@@ -460,8 +467,8 @@ class TestSbidmaReceive:
         ts = TwoStepConfig(preamble=pre, n_occasions=64, codec=ORACLE, pilot_len=0)
         power = 2.7
         rng = np.random.default_rng(4)
-        u2 = encode_user(sb, 9, rng, power=power, preamble_index=17)
-        u1 = encode_user(ts, 9, rng, power=power, preamble_index=17)
+        u2 = encode_user(sb, 9, 17, power=power)
+        u1 = encode_user(ts, 9, 17, power=power)
         y = np.zeros(sb.frame_len, dtype=complex)
         s2 = _effective_sinr(sb, u2, [u2], y)
         s1 = _effective_sinr(ts, u1, [u1], y[: ts.frame_len])
@@ -482,7 +489,7 @@ class TestSbidmaReceive:
                 gain = complex(
                     (rng.standard_normal() + 1j * rng.standard_normal()) / math.sqrt(2)
                 )
-                users.append(encode_user(cfg, draw_message(rng, 100), rng,
+                users.append(encode_user(cfg, draw_message(rng, 100), draw_preamble(cfg, rng),
                                          power=power, gain=gain))
             y = transmit(cfg, users, 1.0, rng)
             tin = twostep_receive(y, cfg, ReceiverMode.TIN, users)
@@ -556,7 +563,8 @@ class TestSicPasses:
             users = []
             for _ in range(ka):
                 gain = complex((rng.standard_normal() + 1j * rng.standard_normal()) / math.sqrt(2))
-                users.append(encode_user(cfg, draw_message(rng, 100), rng, power=power, gain=gain))
+                msg, preamble = draw_message(rng, 100), draw_preamble(cfg, rng)
+                users.append(encode_user(cfg, msg, preamble, power=power, gain=gain))
             users_per_frame.append(users)
             frames.append(transmit(cfg, users, 1.0, rng))
         expected = twostep_receive_many(frames, cfg, ReceiverMode.TIN_SIC, users_per_frame)
